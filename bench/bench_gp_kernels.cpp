@@ -1,18 +1,20 @@
 // Micro-benchmark of the global-placement kernels, each measured against
 // its in-bench scalar baseline: the WA wirelength gradient (legacy
 // per-chunk-buffer scatter vs SoA two-pass gather), the density
-// rasterization (full-scan row bands vs bucketed bands), the spectral
-// Poisson solve (free-function DCTs vs the preplanned DctPlan2D
-// pipeline), and one full Nesterov step. Emits
-// bench_results/BENCH_gp_kernels.json (puffer-bench-v1 schema) with
-// gradient/density checksums proving the kernel pairs are bit-identical
-// and stay so with the SIMD helpers disabled.
+// rasterization (full-scan row bands vs bucketed bands), the 2D DCTs
+// (free functions vs the preplanned DctPlan2D), the spectral Poisson
+// solve (the legacy free-function pipeline vs the lane-batched one at
+// every vector width the host supports), and one full Nesterov step.
+// Emits bench_results/BENCH_gp_kernels.json (puffer-bench-v1 schema)
+// with checksums proving the kernel pairs are bit-identical and stay so
+// at every vector width and with the SIMD helpers disabled.
 //
 // Environment: PUFFER_SCALE, PUFFER_THREADS, PUFFER_SIMD.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "core/flow.h"
 #include "fft/dct.h"
 #include "fft/dct_plan.h"
+#include "gp/electrostatics.h"
 #include "gp/engine.h"
 #include "gp/wirelength.h"
 #include "io/checkpoint.h"
@@ -202,6 +205,56 @@ int main() {
                 "x%d %.4fs (%.2fx), bits %s\n",
                 t_free, t_plan, t_free / t_plan, par_threads, t_plan_par,
                 t_free / t_plan_par, sum_free == sum_plan ? "match" : "DIFFER");
+  }
+
+  // --- Poisson solve: legacy free-function pipeline vs lane-batched ---
+  {
+    const int n = 128;
+    Map2D<double> rho(n, n);
+    for (std::size_t i = 0; i < rho.raw().size(); ++i) {
+      rho.raw()[i] = std::sin(0.01 * static_cast<double>(i)) + 1.5;
+    }
+    auto solve_checksum = [](const ElectrostaticSystem& es) {
+      BinaryWriter w;
+      w.put_f64_vec(es.potential().raw());
+      w.put_f64_vec(es.field_x().raw());
+      w.put_f64_vec(es.field_y().raw());
+      w.put_f64(es.energy());
+      return fnv1a_bytes(w.buffer().data(), w.buffer().size());
+    };
+    ElectrostaticSystem legacy(n, n, 1000.0, 800.0);
+    legacy.use_legacy_pipeline(true);
+    ElectrostaticSystem es(n, n, 1000.0, 800.0);
+    par::set_num_threads(1);
+    const double t_legacy = time_best(reps, [&] { legacy.solve(rho); });
+    const std::uint64_t sum_legacy = solve_checksum(legacy);
+    rec.baseline("poisson_solve_s", t_legacy);
+    rec.checksum("poisson_legacy", sum_legacy);
+    // Every width dispatch can reach (only scalar with PUFFER_SIMD=0),
+    // one thread, then the widest at the parallel thread count.
+    const int widest = static_cast<int>(simd::dispatch_isa());
+    for (int w = 0; w <= widest; ++w) {
+      const simd::Isa isa = static_cast<simd::Isa>(w);
+      simd::set_isa_limit(isa);
+      const double t = time_best(reps, [&] { es.solve(rho); });
+      const std::uint64_t sum = solve_checksum(es);
+      const std::string name = std::string("poisson_") + simd::isa_name(isa);
+      rec.result(name + "_1t_s", t);
+      rec.speedup(name + "_1t", t_legacy / t);
+      rec.checksum(name, sum);
+      all_identical = all_identical && sum == sum_legacy;
+      std::printf("poisson solve (128x128) %s: %.5fs (%.2fx vs legacy "
+                  "%.5fs), bits %s\n",
+                  simd::isa_name(isa), t, t_legacy / t, t_legacy,
+                  sum == sum_legacy ? "match" : "DIFFER");
+    }
+    simd::set_isa_limit(simd::Isa::kAvx512);
+    par::set_num_threads(par_threads);
+    const double t_par = time_best(reps, [&] { es.solve(rho); });
+    rec.result("poisson_solve_s", t_par);
+    rec.speedup("poisson_solve", t_legacy / t_par);
+    std::printf("poisson solve (128x128) %s x%d: %.5fs\n", simd::active_isa(),
+                par_threads, t_par);
   }
 
   // --- one Nesterov step, SIMD on vs off -----------------------------

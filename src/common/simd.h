@@ -1,17 +1,26 @@
-// Guarded SIMD helpers for the element-wise placement kernels.
+// Guarded SIMD helpers for the element-wise placement kernels, and the
+// vector-width dispatch of the lane-batched spectral transforms
+// (fft/dct_lanes.h).
 //
 // Only operations that are bit-identical to the scalar loop are offered:
-// per-lane IEEE add/sub/mul/div/min/max on independent elements (no FMA
-// contraction, no reassociated reductions). That keeps the determinism
-// contract symmetric in PUFFER_SIMD: toggling the option -- or the
-// PUFFER_SIMD=0/1 env override -- never changes a single bit of any
-// kernel's output, so the SIMD path needs no separate golden data.
+// per-lane IEEE add/sub/mul/div/min/max on independent elements (no
+// fused multiply-add, no reassociated reductions). That keeps the
+// determinism contract symmetric in PUFFER_SIMD: toggling the option --
+// or the PUFFER_SIMD=0/1 env override -- never changes a single bit of
+// any kernel's output, so the SIMD path needs no separate golden data.
 //
-// Dispatch is runtime (simd::enabled()), compiled in only when the
-// target supports SSE2 (always true on x86-64); everything falls back to
-// the scalar loop otherwise. The CMake option PUFFER_SIMD picks the
-// compile-time default; the PUFFER_SIMD env var overrides at startup and
-// simd::set_enabled() overrides from tests.
+// Fusion is kept out by the build, not by the language mode: GCC
+// contracts a*b+c into an FMA even under -std=c++20 whenever the target
+// has FMA (-mavx2 -mfma, -mavx512f), and vector intrinsics such as
+// _mm512_mul_pd are plain vector arithmetic it may contract as well. So
+// src/CMakeLists.txt compiles every puffer target with
+// -ffp-contract=off.
+//
+// Dispatch is runtime. The element-wise helpers below use SSE2 (always
+// present on x86-64) when simd::enabled(); the spectral transforms use
+// the widest width the CPU supports (dispatch_isa()). The CMake option
+// PUFFER_SIMD picks the compile-time default; the PUFFER_SIMD env var
+// overrides at startup and simd::set_enabled() overrides from tests.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +38,27 @@ namespace puffer::simd {
 bool enabled();
 void set_enabled(bool on);
 
-// "sse2" when the vector path is compiled in and enabled, else "scalar".
+// Vector instruction sets, narrowest first. The lane-batched transforms
+// run 1, 2, 4 or 8 lines at once on kScalar, kSse2, kAvx2, kAvx512.
+enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
+
+// Widest ISA that is both compiled in and supported by this CPU
+// (__builtin_cpu_supports; never -march=native).
+Isa host_isa();
+
+// ISA the kernels dispatch to: host_isa() capped by set_isa_limit(), or
+// kScalar when SIMD is disabled.
+Isa dispatch_isa();
+
+// Test hook: caps dispatch_isa() at `cap` (kAvx512 lifts the cap), so
+// tests can force every width the host supports. Every width is
+// bit-identical, so the cap only changes speed.
+void set_isa_limit(Isa cap);
+
+// "avx512", "avx2", "sse2" or "scalar".
+const char* isa_name(Isa isa);
+
+// isa_name(dispatch_isa()).
 const char* active_isa();
 
 // out[i] = a[i] - s * b[i]  (the Nesterov position update).

@@ -4,12 +4,19 @@
 
 #include "common/logger.h"
 #include "common/parallel.h"
+#include "common/simd.h"
 
 namespace puffer {
 
 namespace {
 constexpr const char* kTag = "flow";
+
+// The dispatched vector width, once per flow (results never depend on
+// it; speed does).
+void log_start() {
+  PUFFER_LOG_INFO(kTag, "flow start: simd %s", simd::active_isa());
 }
+}  // namespace
 
 PufferFlow::PufferFlow(Design& design, PufferConfig config)
     : design_(design), config_(config), legalizer_(config.legal) {}
@@ -41,6 +48,7 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
   FlowMetrics metrics;
   Timer total;
   if (config_.num_threads > 0) par::set_num_threads(config_.num_threads);
+  log_start();
 
   {
     ScopedStageTimer t(metrics.stages, "initial_place");
@@ -98,6 +106,7 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
   FlowMetrics metrics;
   Timer total;
   if (config_.num_threads > 0) par::set_num_threads(config_.num_threads);
+  log_start();
 
   if (snapshot == nullptr) {
     ScopedStageTimer t(metrics.stages, "initial_place");

@@ -2,43 +2,64 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <numbers>
 #include <stdexcept>
 
 #include "common/parallel.h"
+#include "common/simd.h"
 #include "fft/fft.h"
 
 namespace puffer {
 
 namespace {
-constexpr std::int64_t kLineGrain = 8;
+// Lines per chunk: B-line blocks are claimed kLineGrain / B at a time,
+// so the chunk count is ceil(lines / kLineGrain) at every width. Wide
+// chunks keep neighbouring column blocks -- which share cache lines at
+// their edges -- on the same worker.
+constexpr std::int64_t kLineGrain = 32;
 constexpr int kMaxLineChunks = 64;
-constexpr std::size_t kTile = 32;  // transpose tile (doubles)
+constexpr std::size_t kMaxLanes = 8;
 
-// Blocked out-of-place transpose: dst[m*rows + n] = src[n*cols + m].
-void transpose_blocked(const double* src, double* dst, std::size_t rows,
-                       std::size_t cols) {
-  for (std::size_t n0 = 0; n0 < rows; n0 += kTile) {
-    const std::size_t n1 = std::min(rows, n0 + kTile);
-    for (std::size_t m0 = 0; m0 < cols; m0 += kTile) {
-      const std::size_t m1 = std::min(cols, m0 + kTile);
-      for (std::size_t n = n0; n < n1; ++n) {
-        for (std::size_t m = m0; m < m1; ++m) {
-          dst[m * rows + n] = src[n * cols + m];
-        }
-      }
-    }
+// Kernels by simd::Isa, narrowest first.
+const dct_lanes::Kernel* const kKernels[] = {
+    &dct_lanes::kScalarKernel, &dct_lanes::kSse2Kernel,
+    &dct_lanes::kAvx2Kernel, &dct_lanes::kAvx512Kernel};
+
+// Widest compiled-in kernel at or below `isa` with at most n_lines lanes
+// (the scalar kernel is always there).
+dct_lanes::Kernel kernel_at_most(simd::Isa isa, std::size_t n_lines) {
+  for (int i = static_cast<int>(isa); i > 0; --i) {
+    const dct_lanes::Kernel& k = *kKernels[i];
+    if (k.lanes > 0 && static_cast<std::size_t>(k.lanes) <= n_lines) return k;
   }
+  return *kKernels[0];
 }
 
 }  // namespace
+
+dct_lanes::LineTables DctPlan2D::LinePlan::tables() const {
+  dct_lanes::LineTables t;
+  t.n = bitrev.size();
+  t.bitrev = bitrev.data();
+  t.dct2_src = dct2_src.data();
+  t.tw_fwd_re = tw_fwd_re.data();
+  t.tw_fwd_im = tw_fwd_im.data();
+  t.tw_inv_re = tw_inv_re.data();
+  t.tw_inv_im = tw_inv_im.data();
+  t.rot_fwd_re = rot_fwd_re.data();
+  t.rot_fwd_im = rot_fwd_im.data();
+  t.rot_inv_re = rot_inv_re.data();
+  t.rot_inv_im = rot_inv_im.data();
+  return t;
+}
 
 DctPlan2D::LinePlan DctPlan2D::make_line_plan(std::size_t n) {
   if (!is_pow2(n)) {
     throw std::invalid_argument("DctPlan2D: sizes must be powers of 2");
   }
+  using cd = std::complex<double>;
   LinePlan p;
-  p.n = n;
 
   // Bit-reversal permutation (the fixed point of fft()'s in-place swap
   // pass: swap a[i], a[bitrev[i]] for i < bitrev[i]).
@@ -51,157 +72,101 @@ DctPlan2D::LinePlan DctPlan2D::make_line_plan(std::size_t n) {
     j ^= bit;
     p.bitrev[i] = static_cast<std::uint32_t>(j);
   }
+  // DCT-II input: v[q] = x[2q] (q < n/2), v[n-1-q] = x[2q+1], read in
+  // bit-reversed order.
+  p.dct2_src.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t q = p.bitrev[i];
+    p.dct2_src[i] = static_cast<std::uint32_t>(
+        n == 1 ? 0 : (q < n / 2 ? 2 * q : 2 * (n - 1 - q) + 1));
+  }
 
   // Per-stage twiddles, concatenated in stage order. Built with the same
   // w *= wlen recurrence fft() runs per block, so butterfly inputs -- and
   // therefore outputs -- are bit-identical to the free functions.
   for (int dir = 0; dir < 2; ++dir) {
     const bool invert = dir == 1;
-    std::vector<cd>& tw = invert ? p.tw_inv : p.tw_fwd;
+    std::vector<double>& tre = invert ? p.tw_inv_re : p.tw_fwd_re;
+    std::vector<double>& tim = invert ? p.tw_inv_im : p.tw_fwd_im;
     for (std::size_t len = 2; len <= n; len <<= 1) {
       const double ang = 2.0 * std::numbers::pi / static_cast<double>(len) *
                          (invert ? 1.0 : -1.0);
       const cd wlen(std::cos(ang), std::sin(ang));
       cd w(1.0, 0.0);
       for (std::size_t k = 0; k < len / 2; ++k) {
-        tw.push_back(w);
+        tre.push_back(w.real());
+        tim.push_back(w.imag());
         w *= wlen;
       }
     }
   }
 
-  p.rot_fwd.resize(n);
-  p.rot_inv.resize(n);
+  p.rot_fwd_re.resize(n);
+  p.rot_fwd_im.resize(n);
+  p.rot_inv_re.resize(n);
+  p.rot_inv_im.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     const double ang = std::numbers::pi * static_cast<double>(k) /
                        (2.0 * static_cast<double>(n));
-    p.rot_fwd[k] = cd(std::cos(-ang), std::sin(-ang));
-    p.rot_inv[k] = cd(std::cos(ang), std::sin(ang));
+    p.rot_fwd_re[k] = std::cos(-ang);
+    p.rot_fwd_im[k] = std::sin(-ang);
+    p.rot_inv_re[k] = std::cos(ang);
+    p.rot_inv_im[k] = std::sin(ang);
   }
   return p;
 }
 
 DctPlan2D::DctPlan2D(std::size_t nx, std::size_t ny)
     : nx_(nx), ny_(ny), px_(make_line_plan(nx)), py_(make_line_plan(ny)) {
-  const std::int64_t longest =
-      static_cast<std::int64_t>(std::max(nx_, ny_));
-  scratch_.resize(static_cast<std::size_t>(
-      par::chunk_count(longest, kLineGrain, kMaxLineChunks)));
-  const std::size_t line = std::max(nx_, ny_);
-  for (Scratch& s : scratch_) {
-    s.v.resize(line);
-    s.line.resize(line);
-  }
-  tmp_.resize(nx_ * ny_);
-  tr_.resize(nx_ * ny_);
-  tr2_.resize(nx_ * ny_);
+  const std::size_t longest = std::max(nx_, ny_);
+  const int chunks = par::chunk_count(static_cast<std::int64_t>(longest),
+                                      kLineGrain, kMaxLineChunks);
+  const std::size_t lanes = static_cast<std::size_t>(
+      kernel_at_most(simd::host_isa(), kMaxLanes).lanes);
+  // Row passes: 2*n*B for the FFT re/im plus n*B of gathered rows.
+  scratch_per_chunk_ = 3 * longest * lanes;
+  scratch_.resize(static_cast<std::size_t>(chunks) * scratch_per_chunk_);
 }
 
-void DctPlan2D::fft_line(cd* a, const LinePlan& p, bool invert) {
-  const std::size_t n = p.n;
-  if (n == 1) return;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = p.bitrev[i];
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  const cd* tw = (invert ? p.tw_inv : p.tw_fwd).data();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        // Manual complex butterfly: same ac-bd / ad+bc products as the
-        // std::complex operator* fast path, minus its per-multiply NaN
-        // checks (bit-identical for the finite values seen here).
-        const double wr = tw[k].real(), wi = tw[k].imag();
-        const double br = a[i + k + half].real();
-        const double bi = a[i + k + half].imag();
-        const double vr = br * wr - bi * wi;
-        const double vi = br * wi + bi * wr;
-        const double ur = a[i + k].real(), ui = a[i + k].imag();
-        a[i + k] = cd(ur + vr, ui + vi);
-        a[i + k + half] = cd(ur - vr, ui - vi);
-      }
-    }
-    tw += half;
-  }
-  if (invert) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) a[i] *= inv_n;
-  }
+double* DctPlan2D::chunk_scratch(int chunk) const {
+  return scratch_.data() + static_cast<std::size_t>(chunk) * scratch_per_chunk_;
 }
 
-void DctPlan2D::dct2_line(const double* x, double* out, const LinePlan& p,
-                          Scratch& s) {
-  const std::size_t n = p.n;
-  cd* v = s.v.data();
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    v[i] = x[2 * i];
-    v[n - 1 - i] = x[2 * i + 1];
-  }
-  if (n == 1) v[0] = x[0];
-  fft_line(v, p, false);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Real part of v[k] * rot_fwd[k], same products as operator*.
-    out[k] = v[k].real() * p.rot_fwd[k].real() -
-             v[k].imag() * p.rot_fwd[k].imag();
-  }
-}
-
-void DctPlan2D::dct3_line(const double* X, double* out, const LinePlan& p,
-                          Scratch& s) {
-  // dct3_raw(X) = (N/2) * idct(X'') with X''[0] = 2*X[0]; see dct.h.
-  const std::size_t n = p.n;
-  const double scale = static_cast<double>(n) / 2.0;
-  if (n == 1) {
-    out[0] = X[0] * 2.0 * scale;
-    return;
-  }
-  cd* v = s.v.data();
-  v[0] = cd(X[0] * 2.0, 0.0);
-  for (std::size_t k = 1; k < n; ++k) {
-    // rot_inv[k] * (X[k] - i X[n-k]), expanded like the operator* fast
-    // path (first operand's components are the a/b of ac-bd / ad+bc).
-    const double rr = p.rot_inv[k].real(), ri = p.rot_inv[k].imag();
-    const double c = X[k], d = -X[n - k];
-    v[k] = cd(rr * c - ri * d, rr * d + ri * c);
-  }
-  fft_line(v, p, true);
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    out[2 * i] = v[i].real() * scale;
-    out[2 * i + 1] = v[n - 1 - i].real() * scale;
-  }
-}
-
-void DctPlan2D::idxst_line(const double* X, double* out, const LinePlan& p,
-                           Scratch& s) {
-  // Flipped cosine series with alternating signs; see dct.h.
-  const std::size_t n = p.n;
-  double* flipped = s.line.data();
-  flipped[0] = 0.0;
-  for (std::size_t k = 1; k < n; ++k) flipped[k] = X[n - k];
-  dct3_line(flipped, out, p, s);
-  for (std::size_t m = 1; m < n; m += 2) out[m] = -out[m];
-}
-
-void DctPlan2D::run_lines(const double* in, double* out, std::size_t n_lines,
-                          const LinePlan& p, LineOp op) const {
+void DctPlan2D::row_pass(std::initializer_list<RowJob> jobs) const {
+  const dct_lanes::Kernel k = kernel_at_most(simd::dispatch_isa(), ny_);
+  const std::size_t lanes = static_cast<std::size_t>(k.lanes);
+  const dct_lanes::LineTables t = px_.tables();
+  const std::int64_t blocks = static_cast<std::int64_t>(ny_ / lanes);
   par::parallel_for(
-      0, static_cast<std::int64_t>(n_lines), kLineGrain,
+      0, blocks, std::max<std::int64_t>(1, kLineGrain / k.lanes),
       [&](std::int64_t b, std::int64_t e, int c) {
-        Scratch& s = scratch_[static_cast<std::size_t>(c)];
-        for (std::int64_t li = b; li < e; ++li) {
-          const double* src = in + static_cast<std::size_t>(li) * p.n;
-          double* dst = out + static_cast<std::size_t>(li) * p.n;
-          switch (op) {
-            case LineOp::kDct2:
-              dct2_line(src, dst, p, s);
-              break;
-            case LineOp::kDct3:
-              dct3_line(src, dst, p, s);
-              break;
-            case LineOp::kIdxst:
-              idxst_line(src, dst, p, s);
-              break;
+        double* work = chunk_scratch(c);
+        for (const RowJob& job : jobs) {
+          const dct_lanes::RowSource src{job.in, job.weight, job.col_scale,
+                                         job.row_scale, nx_};
+          for (std::int64_t blk = b; blk < e; ++blk) {
+            k.rows(job.op, t, src, static_cast<std::size_t>(blk) * lanes,
+                   job.out, work);
+          }
+        }
+      },
+      kMaxLineChunks);
+}
+
+void DctPlan2D::col_pass(std::initializer_list<ColJob> jobs) const {
+  const dct_lanes::Kernel k = kernel_at_most(simd::dispatch_isa(), nx_);
+  const std::size_t lanes = static_cast<std::size_t>(k.lanes);
+  const dct_lanes::LineTables t = py_.tables();
+  const std::int64_t blocks = static_cast<std::int64_t>(nx_ / lanes);
+  par::parallel_for(
+      0, blocks, std::max<std::int64_t>(1, kLineGrain / k.lanes),
+      [&](std::int64_t b, std::int64_t e, int c) {
+        double* work = chunk_scratch(c);
+        for (const ColJob& job : jobs) {
+          for (std::int64_t blk = b; blk < e; ++blk) {
+            k.cols(job.op, t,
+                   job.data + static_cast<std::size_t>(blk) * lanes, nx_,
+                   work);
           }
         }
       },
@@ -213,13 +178,9 @@ void DctPlan2D::apply(const std::vector<double>& in, std::vector<double>& out,
   if (in.size() != nx_ * ny_) {
     throw std::invalid_argument("2d transform: size mismatch");
   }
-  // Row pass (contiguous lines of length nx), then transpose so the
-  // column pass also runs on contiguous lines, then transpose back.
-  run_lines(in.data(), tmp_.data(), ny_, px_, op_x);
-  transpose_blocked(tmp_.data(), tr_.data(), ny_, nx_);
-  run_lines(tr_.data(), tr2_.data(), nx_, py_, op_y);
-  out.resize(nx_ * ny_);
-  transpose_blocked(tr2_.data(), out.data(), nx_, ny_);
+  out.resize(nx_ * ny_);  // no reallocation when `out` aliases `in`
+  row_pass({{op_x, in.data(), out.data()}});
+  col_pass({{op_y, out.data()}});
 }
 
 void DctPlan2D::dct2_2d(const std::vector<double>& in,

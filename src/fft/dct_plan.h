@@ -1,4 +1,4 @@
-// Preplanned, allocation-free 2D cosine/sine transforms.
+// Preplanned, allocation-free, lane-batched 2D cosine/sine transforms.
 //
 // The free functions in dct.h recompute twiddle factors and allocate
 // several vectors per line transform; fine for one-off use, but the
@@ -6,30 +6,38 @@
 // spectrum per Nesterov gradient -- thousands of times per flow. A
 // DctPlan2D hoists everything reusable out of the loop:
 //
-//   * bit-reversal permutations and per-stage FFT twiddle tables (built
-//     with the same recurrence the free fft() uses, so every transform
-//     is bit-identical to its dct.h counterpart);
-//   * the DCT-II / DCT-III boundary rotations exp(+-i*pi*k/(2N));
-//   * per-chunk line scratch, the row-major intermediate, and the tiled
-//     transpose buffers -- so a transform performs no heap allocation
-//     after the first call.
+//   * per-stage FFT twiddle tables (built with the same recurrence the
+//     free fft() uses, so every transform is bit-identical to its dct.h
+//     counterpart), the DCT-II / DCT-III boundary rotations, and the
+//     bit-reversal folded into each transform's load order;
+//   * per-chunk lane scratch, so a transform performs no heap allocation.
 //
-// The column pass runs on a blocked transpose of the row-pass output
-// (contiguous lines instead of stride-nx gathers), then transposes back.
-// Both passes fan out per line with the deterministic chunk
-// decomposition; chunk c writes only its own lines and scratch, so
-// results are worker-count independent.
+// Lines run B at a time through the lane kernels of fft/dct_lanes.h (B =
+// 8, 4, 2 or 1 by simd::dispatch_isa(); every width gives the same bits).
+// A 2D transform is one row pass plus one column pass, with no
+// transposes: a column pass transforms B adjacent columns in place as
+// contiguous vectors, a row pass gathers B rows into chunk scratch. Both
+// fan out over blocks of B lines with the deterministic chunk
+// decomposition; a block writes only its own lines, so results are
+// worker-count independent.
+//
+// row_pass / col_pass run several same-shaped jobs in one dispatch; the
+// spectral Poisson solve (gp/electrostatics.h) is built from them.
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
+
+#include "fft/dct_lanes.h"
 
 namespace puffer {
 
 class DctPlan2D {
  public:
+  using LineOp = dct_lanes::Op;
+
   // nx, ny: grid sizes, powers of two. Throws std::invalid_argument
   // otherwise (same contract as the free transforms).
   DctPlan2D(std::size_t nx, std::size_t ny);
@@ -45,48 +53,49 @@ class DctPlan2D {
   void dct3_idxst_2d(const std::vector<double>& in,
                      std::vector<double>& out) const;
 
+  // One x-axis transform of every row of `in` into `out` (nx*ny each;
+  // may alias). With `weight` set, element i = v*nx + u enters as
+  // weight[i] * in[i], then times col_scale[u] or row_scale[v] if set.
+  struct RowJob {
+    LineOp op;
+    const double* in;
+    double* out;
+    const double* weight = nullptr;
+    const double* col_scale = nullptr;
+    const double* row_scale = nullptr;
+  };
+  // One y-axis transform of every column of `data`, in place.
+  struct ColJob {
+    LineOp op;
+    double* data;
+  };
+  // Every job of a pass runs within the same parallel_for: one dispatch.
+  // A job may write its own input, but no job may write what another
+  // job of the same pass reads.
+  void row_pass(std::initializer_list<RowJob> jobs) const;
+  void col_pass(std::initializer_list<ColJob> jobs) const;
+
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }
 
  private:
-  using cd = std::complex<double>;
-
-  // 1D machinery for one line length.
   struct LinePlan {
-    std::size_t n = 0;
-    std::vector<std::uint32_t> bitrev;
-    std::vector<cd> tw_fwd, tw_inv;  // per-stage twiddles, concatenated
-    std::vector<cd> rot_fwd;         // exp(-i*pi*k/(2N)) (DCT-II output)
-    std::vector<cd> rot_inv;         // exp(+i*pi*k/(2N)) (IDCT input)
+    std::vector<std::uint32_t> bitrev, dct2_src;
+    std::vector<double> tw_fwd_re, tw_fwd_im, tw_inv_re, tw_inv_im;
+    std::vector<double> rot_fwd_re, rot_fwd_im, rot_inv_re, rot_inv_im;
+    dct_lanes::LineTables tables() const;  // views of the vectors above
   };
-
-  // Per-chunk line scratch (complex workspace + a staging line).
-  struct Scratch {
-    std::vector<cd> v;
-    std::vector<double> line;
-  };
-
-  enum class LineOp { kDct2, kDct3, kIdxst };
 
   static LinePlan make_line_plan(std::size_t n);
-  static void fft_line(cd* a, const LinePlan& p, bool invert);
-  static void dct2_line(const double* x, double* out, const LinePlan& p,
-                        Scratch& s);
-  static void dct3_line(const double* X, double* out, const LinePlan& p,
-                        Scratch& s);
-  static void idxst_line(const double* X, double* out, const LinePlan& p,
-                         Scratch& s);
+  double* chunk_scratch(int chunk) const;
 
-  // Applies `op_x` along x then `op_y` along y (via transpose).
   void apply(const std::vector<double>& in, std::vector<double>& out,
              LineOp op_x, LineOp op_y) const;
-  void run_lines(const double* in, double* out, std::size_t n_lines,
-                 const LinePlan& p, LineOp op) const;
 
   std::size_t nx_, ny_;
   LinePlan px_, py_;
-  mutable std::vector<Scratch> scratch_;  // indexed by chunk id
-  mutable std::vector<double> tmp_, tr_, tr2_;
+  std::size_t scratch_per_chunk_ = 0;
+  mutable std::vector<double> scratch_;  // chunk c owns one slice
 };
 
 }  // namespace puffer

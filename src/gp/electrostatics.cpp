@@ -45,9 +45,6 @@ ElectrostaticSystem::ElectrostaticSystem(int nx, int ny, double w, double h)
     }
   }
   a_.resize(snx * sny);
-  c_psi_.resize(snx * sny);
-  c_ex_.resize(snx * sny);
-  c_ey_.resize(snx * sny);
 }
 
 void ElectrostaticSystem::solve(const Map2D<double>& density) {
@@ -56,40 +53,20 @@ void ElectrostaticSystem::solve(const Map2D<double>& density) {
   }
   const std::size_t snx = static_cast<std::size_t>(nx_);
   const std::size_t sny = static_cast<std::size_t>(ny_);
-
-  // Forward spectrum of the density.
   if (legacy_) {
-    a_ = puffer::dct2_2d(density.raw(), snx, sny);
+    solve_legacy(density);
   } else {
-    plan_.dct2_2d(density.raw(), a_);
-  }
-
-  // Weight the spectrum for the three inverse evaluations. Rows are
-  // independent (disjoint writes), so the loop fans out over v.
-  par::parallel_for(
-      0, static_cast<std::int64_t>(sny), 8,
-      [&](std::int64_t vb, std::int64_t ve, int) {
-        for (std::int64_t vi = vb; vi < ve; ++vi) {
-          const std::size_t v = static_cast<std::size_t>(vi);
-          const double wvv = wv_[v];
-          const std::size_t row = v * snx;
-          for (std::size_t u = 0; u < snx; ++u) {
-            const double coeff = w_psi_[row + u] * a_[row + u];
-            c_psi_[row + u] = coeff;
-            c_ex_[row + u] = coeff * wu_[u];
-            c_ey_[row + u] = coeff * wvv;
-          }
-        }
-      });
-
-  if (legacy_) {
-    psi_.raw() = puffer::dct3_raw_2d(c_psi_, snx, sny);
-    ex_.raw() = puffer::idxst_dct3_2d(c_ex_, snx, sny);
-    ey_.raw() = puffer::dct3_idxst_2d(c_ey_, snx, sny);
-  } else {
-    plan_.dct3_raw_2d(c_psi_, psi_.raw());
-    plan_.idxst_dct3_2d(c_ex_, ex_.raw());
-    plan_.dct3_idxst_2d(c_ey_, ey_.raw());
+    using Op = DctPlan2D::LineOp;
+    plan_.row_pass({{Op::kDct2, density.raw().data(), a_.data()}});
+    plan_.col_pass({{Op::kDct2, a_.data()}});
+    const double* a = a_.data();
+    const double* w = w_psi_.data();
+    plan_.row_pass({{Op::kDct3, a, psi_.raw().data(), w},
+                    {Op::kIdxst, a, ex_.raw().data(), w, wu_.data()},
+                    {Op::kDct3, a, ey_.raw().data(), w, nullptr, wv_.data()}});
+    plan_.col_pass({{Op::kDct3, psi_.raw().data()},
+                    {Op::kDct3, ex_.raw().data()},
+                    {Op::kIdxst, ey_.raw().data()}});
   }
 
   // Chunk-ordered fold keeps the energy worker-count independent.
@@ -103,6 +80,25 @@ void ElectrostaticSystem::solve(const Map2D<double>& density) {
         }
         return s;
       });
+}
+
+void ElectrostaticSystem::solve_legacy(const Map2D<double>& density) {
+  const std::size_t snx = static_cast<std::size_t>(nx_);
+  const std::size_t sny = static_cast<std::size_t>(ny_);
+  a_ = puffer::dct2_2d(density.raw(), snx, sny);
+  std::vector<double> c_psi(snx * sny), c_ex(snx * sny), c_ey(snx * sny);
+  for (std::size_t v = 0; v < sny; ++v) {
+    const std::size_t row = v * snx;
+    for (std::size_t u = 0; u < snx; ++u) {
+      const double coeff = w_psi_[row + u] * a_[row + u];
+      c_psi[row + u] = coeff;
+      c_ex[row + u] = coeff * wu_[u];
+      c_ey[row + u] = coeff * wv_[v];
+    }
+  }
+  psi_.raw() = puffer::dct3_raw_2d(c_psi, snx, sny);
+  ex_.raw() = puffer::idxst_dct3_2d(c_ex, snx, sny);
+  ey_.raw() = puffer::dct3_idxst_2d(c_ey, snx, sny);
 }
 
 }  // namespace puffer

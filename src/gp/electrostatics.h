@@ -14,11 +14,22 @@
 // dropped. The density penalty is D = sum_i q_i psi(b_i) and its gradient
 // w.r.t. a cell position is -q_i * xi(b_i).
 //
-// The transforms run through a preplanned DctPlan2D (precomputed twiddle
-// tables, no per-solve allocation) and the spectral weights
-// s*c_u*c_v/(wu^2+wv^2), s*.../(...)*wu, ... are baked into per-mode
-// tables at construction, so solve() is three multiplies per mode plus
-// the four 2D transforms.
+// The transforms run through a preplanned DctPlan2D, and the spectral
+// weights s*c_u*c_v/(wu^2+wv^2), ... are baked into per-mode tables at
+// construction. A solve is five parallel dispatches and no transposes:
+//
+//   1. forward row pass:    a = DCT-II along x of rho;
+//   2. forward column pass: a = DCT-II along y of a (in place);
+//   3. inverse row pass, three transforms per block of rows, weighting on
+//      load: psi = DCT-III_x(w_psi*a), ex = IDXST_x(w_psi*a*wu),
+//      ey = DCT-III_x(w_psi*a*wv);
+//   4. inverse column pass, in place: psi = DCT-III_y(psi),
+//      ex = DCT-III_y(ex), ey = IDXST_y(ey);
+//   5. the chunk-ordered energy reduction.
+//
+// Every step performs the scalar operations of the free-function
+// pipeline (use_legacy_pipeline) in the same order, so the two agree bit
+// for bit at every vector width.
 #pragma once
 
 #include <cstddef>
@@ -38,11 +49,11 @@ class ElectrostaticSystem {
   // Solves for the given density map (size nx*ny, row-major, x fastest).
   void solve(const Map2D<double>& density);
 
-  // Test/bench hook (one-PR lifetime): route the four 2D transforms
-  // through the allocating free functions in fft/dct.h instead of the
-  // preplanned DctPlan2D. The plan is bit-identical to the free
-  // functions by construction, so only speed changes; the hook lets the
-  // benchmark baseline replicate the pre-plan pipeline faithfully.
+  // Test/bench hook: route the solve through the allocating free
+  // functions in fft/dct.h (with explicit weighted-coefficient arrays)
+  // instead of the lane-batched DctPlan2D passes. Both are bit-identical
+  // by construction, so only speed changes; the hook is the bit-identity
+  // oracle of the tests and the baseline of bench_gp_kernels.
   void use_legacy_pipeline(bool on) { legacy_ = on; }
 
   const Map2D<double>& potential() const { return psi_; }
@@ -56,14 +67,16 @@ class ElectrostaticSystem {
   int ny() const { return ny_; }
 
  private:
+  // The free-function pipeline behind use_legacy_pipeline().
+  void solve_legacy(const Map2D<double>& density);
+
   int nx_, ny_;
   DctPlan2D plan_;
   bool legacy_ = false;
   // Per-mode spectral weights (DC entry zero): coeff = w_psi * a_uv,
   // then c_ex = coeff * wu, c_ey = coeff * wv.
   std::vector<double> w_psi_, wu_, wv_;
-  // Preallocated spectra (forward + three weighted coefficient arrays).
-  std::vector<double> a_, c_psi_, c_ex_, c_ey_;
+  std::vector<double> a_;  // forward spectrum of the density
   Map2D<double> psi_, ex_, ey_;
   double energy_ = 0.0;
 };

@@ -14,6 +14,12 @@ namespace puffer {
 
 namespace {
 constexpr const char* kTag = "gp";
+// Element chunking of the rasterize bucket pass (fixed, so the bucket
+// fill order is worker-count independent).
+constexpr std::int64_t kBucketGrain = 2048;
+constexpr int kMaxBucketChunks = 16;
+// Row bands of the density scatter (at most one per scatter chunk).
+constexpr int kMaxBands = 8;
 
 std::shared_ptr<GpSoA> make_soa(const Design& design) {
   auto soa = std::make_shared<GpSoA>();
@@ -49,7 +55,7 @@ EPlaceEngine::EPlaceEngine(Design& design, GpConfig config)
 
   // Row bands of the density scatter: one band per chunk of the same
   // fixed decomposition rasterize() fans out with.
-  nbands_ = par::chunk_count(bins_, std::max(1, bins_ / 8), 8);
+  nbands_ = par::chunk_count(bins_, std::max(1, bins_ / 8), kMaxBands);
   band_of_row_.resize(static_cast<std::size_t>(bins_));
   for (int b = 0; b < nbands_; ++b) {
     const auto [lo, hi] = par::chunk_range(bins_, nbands_, b);
@@ -58,7 +64,6 @@ EPlaceEngine::EPlaceEngine(Design& design, GpConfig config)
     }
   }
   band_start_.resize(static_cast<std::size_t>(nbands_) + 1);
-  band_fill_.resize(static_cast<std::size_t>(nbands_));
 
   num_movable_ = n_mov;
   elem_w_ = soa_->cw;
@@ -214,40 +219,71 @@ void EPlaceEngine::rasterize_soa(const std::vector<double>& x,
 
   // Bucket pass: bin-index ranges per element, then a counting sort of
   // the elements into the row bands they overlap (ascending element
-  // order within each band, the serial scatter order).
-  std::fill(band_start_.begin(), band_start_.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xlo = x[i] - ras_hw_[i], xhi = x[i] + ras_hw_[i];
-    const double ylo = y[i] - ras_hh_[i], yhi = y[i] + ras_hh_[i];
-    const int bx0 = std::clamp(static_cast<int>((xlo - die_x) / bin_w_), 0, bins_ - 1);
-    const int bx1 = std::clamp(static_cast<int>((xhi - die_x) / bin_w_), 0, bins_ - 1);
-    const int by0 = std::clamp(static_cast<int>((ylo - die_y) / bin_h_), 0, bins_ - 1);
-    const int by1 = std::clamp(static_cast<int>((yhi - die_y) / bin_h_), 0, bins_ - 1);
-    ebx0_[i] = bx0;
-    ebx1_[i] = bx1;
-    eby0_[i] = by0;
-    eby1_[i] = by1;
-    const int b0 = band_of_row_[static_cast<std::size_t>(by0)];
-    const int b1 = band_of_row_[static_cast<std::size_t>(by1)];
-    for (int b = b0; b <= b1; ++b) {
-      ++band_start_[static_cast<std::size_t>(b) + 1];
+  // order within each band, the serial scatter order). It runs over a
+  // fixed chunking of the elements: each chunk counts its elements per
+  // band, a prefix in (band, chunk) order gives every chunk its first
+  // slot in each band, and each chunk then fills its slots in ascending
+  // element order -- so band_elems_ is the serial sort's, at any worker
+  // count.
+  const std::int64_t n64 = static_cast<std::int64_t>(n);
+  const int nchunks = par::chunk_count(n64, kBucketGrain, kMaxBucketChunks);
+  const std::size_t nb = static_cast<std::size_t>(nbands_);
+  const auto bin_of = [&](double v, double lo, double size) {
+    return std::clamp(static_cast<int>((v - lo) / size), 0, bins_ - 1);
+  };
+  bucket_slot_.assign(static_cast<std::size_t>(nchunks) * nb, 0);
+  par::parallel_for(
+      0, n64, kBucketGrain,
+      [&](std::int64_t e0, std::int64_t e1, int c) {
+        // Counted on the stack: neighbouring chunks' rows of bucket_slot_
+        // share cache lines.
+        std::int64_t count[kMaxBands] = {};
+        for (std::size_t i = static_cast<std::size_t>(e0);
+             i < static_cast<std::size_t>(e1); ++i) {
+          const double xlo = x[i] - ras_hw_[i], xhi = x[i] + ras_hw_[i];
+          const double ylo = y[i] - ras_hh_[i], yhi = y[i] + ras_hh_[i];
+          const int by0 = bin_of(ylo, die_y, bin_h_);
+          const int by1 = bin_of(yhi, die_y, bin_h_);
+          ebx0_[i] = bin_of(xlo, die_x, bin_w_);
+          ebx1_[i] = bin_of(xhi, die_x, bin_w_);
+          eby0_[i] = by0;
+          eby1_[i] = by1;
+          const int b0 = band_of_row_[static_cast<std::size_t>(by0)];
+          const int b1 = band_of_row_[static_cast<std::size_t>(by1)];
+          for (int b = b0; b <= b1; ++b) ++count[b];
+        }
+        std::copy(count, count + nb,
+                  &bucket_slot_[static_cast<std::size_t>(c) * nb]);
+      },
+      kMaxBucketChunks);
+  std::int64_t total = 0;
+  for (std::size_t b = 0; b < nb; ++b) {
+    band_start_[b] = total;
+    for (int c = 0; c < nchunks; ++c) {
+      std::int64_t& slot = bucket_slot_[static_cast<std::size_t>(c) * nb + b];
+      const std::int64_t count = slot;
+      slot = total;
+      total += count;
     }
   }
-  for (int b = 0; b < nbands_; ++b) {
-    band_start_[static_cast<std::size_t>(b) + 1] +=
-        band_start_[static_cast<std::size_t>(b)];
-    band_fill_[static_cast<std::size_t>(b)] =
-        band_start_[static_cast<std::size_t>(b)];
-  }
-  band_elems_.resize(static_cast<std::size_t>(band_start_.back()));
-  for (std::size_t i = 0; i < n; ++i) {
-    const int b0 = band_of_row_[static_cast<std::size_t>(eby0_[i])];
-    const int b1 = band_of_row_[static_cast<std::size_t>(eby1_[i])];
-    for (int b = b0; b <= b1; ++b) {
-      band_elems_[static_cast<std::size_t>(band_fill_[static_cast<std::size_t>(b)]++)] =
-          static_cast<std::int32_t>(i);
-    }
-  }
+  band_start_[nb] = total;
+  band_elems_.resize(static_cast<std::size_t>(total));
+  par::parallel_for(
+      0, n64, kBucketGrain,
+      [&](std::int64_t e0, std::int64_t e1, int c) {
+        std::int64_t slot[kMaxBands];
+        std::copy_n(&bucket_slot_[static_cast<std::size_t>(c) * nb], nb, slot);
+        for (std::int64_t i = e0; i < e1; ++i) {
+          const std::size_t si = static_cast<std::size_t>(i);
+          const int b0 = band_of_row_[static_cast<std::size_t>(eby0_[si])];
+          const int b1 = band_of_row_[static_cast<std::size_t>(eby1_[si])];
+          for (int b = b0; b <= b1; ++b) {
+            band_elems_[static_cast<std::size_t>(slot[b]++)] =
+                static_cast<std::int32_t>(i);
+          }
+        }
+      },
+      kMaxBucketChunks);
 
   // Scatter pass: band b adds its bucket's elements in ascending order,
   // restricted to its own bin rows -- the same per-bin addition order as
@@ -284,7 +320,7 @@ void EPlaceEngine::rasterize_soa(const std::vector<double>& x,
           }
         }
       },
-      8);
+      kMaxBands);
 }
 
 void EPlaceEngine::rasterize_legacy(const std::vector<double>& x,

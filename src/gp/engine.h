@@ -182,10 +182,11 @@ class EPlaceEngine {
 
   // Row-band buckets for the density scatter (rebuilt per rasterize):
   // band b owns the bin rows of parallel chunk b; band_elems_ lists the
-  // elements overlapping each band in ascending order.
+  // elements overlapping each band in ascending order. bucket_slot_ is
+  // the bucket pass's per-(element chunk, band) count, then fill cursor.
   int nbands_ = 1;
   std::vector<std::int32_t> band_of_row_;
-  std::vector<std::int64_t> band_start_, band_fill_;
+  std::vector<std::int64_t> band_start_, bucket_slot_;
   std::vector<std::int32_t> band_elems_;
   std::vector<std::int32_t> ebx0_, ebx1_, eby0_, eby1_;
 

@@ -2,14 +2,18 @@
 // point (engine commit, legalization/DP commits, snapshot restores),
 // bit-identity of the SoA WA gradient and bucketed rasterization against
 // the retired scalar kernels across PUFFER_THREADS 1/2/8 and PUFFER_SIMD
-// on/off, flow-level placement checksums across the same matrix, and
-// exact equality of the preplanned DctPlan2D transforms with the dct.h
-// free functions.
+// on/off, flow-level placement checksums across the same matrix and
+// every vector width, and bitwise equality (memcmp, so signed zeros
+// count) of the lane-batched DctPlan2D transforms and Poisson solve with
+// the dct.h free-function pipeline at every width the host supports.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -18,6 +22,7 @@
 #include "core/flow.h"
 #include "fft/dct.h"
 #include "fft/dct_plan.h"
+#include "gp/electrostatics.h"
 #include "gp/engine.h"
 #include "gp/soa.h"
 #include "gp/wirelength.h"
@@ -33,6 +38,7 @@ class GpSoaTest : public ::testing::Test {
   ~GpSoaTest() override {
     par::set_num_threads(0);
     simd::set_enabled(true);
+    simd::set_isa_limit(simd::Isa::kAvx512);
   }
 };
 
@@ -63,6 +69,35 @@ std::uint64_t placement_checksum(const Design& d) {
     w.put_f64(c.y);
   }
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
+}
+
+// Every vector width this host can dispatch to, narrowest first.
+std::vector<simd::Isa> host_widths() {
+  std::vector<simd::Isa> out;
+  for (int i = 0; i <= static_cast<int>(simd::host_isa()); ++i) {
+    out.push_back(static_cast<simd::Isa>(i));
+  }
+  return out;
+}
+
+// Bitwise equality: unlike operator== on doubles, tells -0.0 from +0.0.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Random grid with exact signed zeros sprinkled in. With `all_zero` every
+// entry is +0.0 or -0.0, so every output is a zero whose sign depends on
+// the exact operation sequence (negation, x*1 - y*0, ...).
+std::vector<double> signed_zero_grid(std::size_t n, std::uint64_t seed,
+                                     bool all_zero = false) {
+  std::vector<double> data(n);
+  Rng rng(seed);
+  for (double& v : data) v = rng.uniform(-2.0, 2.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (all_zero || i % 5 == 0) data[i] = data[i] < 0.0 ? -0.0 : 0.0;
+  }
+  return data;
 }
 
 TEST_F(GpSoaTest, BuildMirrorsDesignExactly) {
@@ -195,24 +230,35 @@ TEST_F(GpSoaTest, GradientBitIdenticalToLegacyAcrossThreadsAndSimd) {
 }
 
 TEST_F(GpSoaTest, RasterizeBitIdenticalToLegacyAcrossThreads) {
-  GpConfig legacy_cfg;
-  legacy_cfg.legacy_kernels = true;
-  Design d1 = generate_synthetic(small_spec());
-  EPlaceEngine legacy_eng(d1, legacy_cfg);
-  Design d2 = generate_synthetic(small_spec());
-  EPlaceEngine soa_eng(d2, GpConfig{});
-  const std::vector<double> x = legacy_eng.solver_x();
-  const std::vector<double> y = legacy_eng.solver_y();
-  ASSERT_EQ(x, soa_eng.solver_x());  // same spec -> same elements
+  // The large spec has enough elements for several chunks of the
+  // parallel bucket pass, whose per-chunk band counts and fill cursors
+  // must reproduce the serial counting sort.
+  SyntheticSpec large = small_spec(5);
+  large.num_cells = 6000;
+  large.num_nets = 8000;
+  for (const SyntheticSpec& spec : {small_spec(), large}) {
+    GpConfig legacy_cfg;
+    legacy_cfg.legacy_kernels = true;
+    Design d1 = generate_synthetic(spec);
+    EPlaceEngine legacy_eng(d1, legacy_cfg);
+    Design d2 = generate_synthetic(spec);
+    EPlaceEngine soa_eng(d2, GpConfig{});
+    const std::vector<double> x = legacy_eng.solver_x();
+    const std::vector<double> y = legacy_eng.solver_y();
+    ASSERT_EQ(x, soa_eng.solver_x());  // same spec -> same elements
+    if (spec.num_cells == large.num_cells) {
+      ASSERT_GT(soa_eng.num_elements(), 3u * 2048u);
+    }
 
-  par::set_num_threads(1);
-  const std::vector<double> ref = legacy_eng.rasterize_probe(x, y).raw();
-  for (const int threads : {1, 2, 8}) {
-    par::set_num_threads(threads);
-    EXPECT_EQ(legacy_eng.rasterize_probe(x, y).raw(), ref)
-        << "legacy threads=" << threads;
-    EXPECT_EQ(soa_eng.rasterize_probe(x, y).raw(), ref)
-        << "soa threads=" << threads;
+    par::set_num_threads(1);
+    const std::vector<double> ref = legacy_eng.rasterize_probe(x, y).raw();
+    for (const int threads : {1, 2, 8}) {
+      par::set_num_threads(threads);
+      EXPECT_TRUE(same_bits(legacy_eng.rasterize_probe(x, y).raw(), ref))
+          << spec.num_cells << " cells, legacy threads=" << threads;
+      EXPECT_TRUE(same_bits(soa_eng.rasterize_probe(x, y).raw(), ref))
+          << spec.num_cells << " cells, soa threads=" << threads;
+    }
   }
 }
 
@@ -245,32 +291,157 @@ TEST_F(GpSoaTest, FlowChecksumInvariantAcrossThreadsSimdAndKernelPath) {
   EXPECT_EQ(placement_checksum(d), ref);
 }
 
-TEST_F(GpSoaTest, DctPlanMatchesFreeFunctionsBitwise) {
-  const std::size_t nx = 32, ny = 16;  // non-square on purpose
-  std::vector<double> data(nx * ny);
-  Rng rng(123);
-  for (double& v : data) v = rng.uniform(-2.0, 2.0);
-
+// Checks the four DctPlan2D transforms of `data` (and two aliased ones)
+// against the dct.h free functions at every host width and thread count.
+void expect_plan_matches_free_functions(std::size_t nx, std::size_t ny,
+                                        const std::vector<double>& data,
+                                        const std::string& label) {
+  const std::vector<double> ref[] = {
+      dct2_2d(data, nx, ny), dct3_raw_2d(data, nx, ny),
+      idxst_dct3_2d(data, nx, ny), dct3_idxst_2d(data, nx, ny)};
   DctPlan2D plan(nx, ny);
-  std::vector<double> out;
-  for (const int threads : {1, 2, 8}) {
-    par::set_num_threads(threads);
-    plan.dct2_2d(data, out);
-    EXPECT_EQ(out, dct2_2d(data, nx, ny)) << "threads=" << threads;
-    plan.dct3_raw_2d(data, out);
-    EXPECT_EQ(out, dct3_raw_2d(data, nx, ny)) << "threads=" << threads;
-    plan.idxst_dct3_2d(data, out);
-    EXPECT_EQ(out, idxst_dct3_2d(data, nx, ny)) << "threads=" << threads;
-    plan.dct3_idxst_2d(data, out);
-    EXPECT_EQ(out, dct3_idxst_2d(data, nx, ny)) << "threads=" << threads;
-  }
+  for (const simd::Isa isa : host_widths()) {
+    simd::set_isa_limit(isa);
+    for (const int threads : {1, 2, 8}) {
+      par::set_num_threads(threads);
+      const std::string where = std::to_string(nx) + "x" +
+                                std::to_string(ny) + " " + label + " " +
+                                simd::active_isa() +
+                                " threads=" + std::to_string(threads);
+      std::vector<double> out;
+      plan.dct2_2d(data, out);
+      EXPECT_TRUE(same_bits(out, ref[0])) << "dct2 " << where;
+      plan.dct3_raw_2d(data, out);
+      EXPECT_TRUE(same_bits(out, ref[1])) << "dct3 " << where;
+      plan.idxst_dct3_2d(data, out);
+      EXPECT_TRUE(same_bits(out, ref[2])) << "idxst_dct3 " << where;
+      plan.dct3_idxst_2d(data, out);
+      EXPECT_TRUE(same_bits(out, ref[3])) << "dct3_idxst " << where;
 
-  // Aliased in/out is allowed.
-  std::vector<double> inplace = data;
-  plan.dct2_2d(inplace, inplace);
-  EXPECT_EQ(inplace, dct2_2d(data, nx, ny));
+      // Aliased in/out is allowed.
+      std::vector<double> inplace = data;
+      plan.dct2_2d(inplace, inplace);
+      EXPECT_TRUE(same_bits(inplace, ref[0])) << "aliased dct2 " << where;
+      inplace = data;
+      plan.dct3_idxst_2d(inplace, inplace);
+      EXPECT_TRUE(same_bits(inplace, ref[3]))
+          << "aliased dct3_idxst " << where;
+    }
+  }
+  simd::set_isa_limit(simd::Isa::kAvx512);
+}
+
+TEST_F(GpSoaTest, DctPlanMatchesFreeFunctionsBitwise) {
+  // Squares up to 8 lines put fewer lines than lanes on a pass; the
+  // non-square shapes give the row and column passes different widths.
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {2, 2}, {4, 4}, {8, 8}, {1, 8}, {8, 2},
+      {32, 8}, {8, 32}, {128, 64}, {128, 128}};
+  for (const auto& [nx, ny] : sizes) {
+    const std::uint64_t seed = 123 + nx * ny;
+    expect_plan_matches_free_functions(
+        nx, ny, signed_zero_grid(nx * ny, seed), "mixed");
+    expect_plan_matches_free_functions(
+        nx, ny, signed_zero_grid(nx * ny, seed, true), "zeros");
+  }
+  // PUFFER_SIMD off selects the one-lane path.
+  simd::set_enabled(false);
+  const std::vector<double> data = signed_zero_grid(32 * 8, 7);
+  std::vector<double> out;
+  DctPlan2D(32, 8).idxst_dct3_2d(data, out);
+  EXPECT_TRUE(same_bits(out, idxst_dct3_2d(data, 32, 8)));
 
   EXPECT_THROW(DctPlan2D(24, 16), std::invalid_argument);
+}
+
+TEST_F(GpSoaTest, PoissonSolveMatchesLegacyPipelineBitwise) {
+  // n = 0 stands for an empty 16x16 map: every output is a signed zero.
+  for (const int size : {1, 2, 8, 32, 128, 0}) {
+    const int n = size == 0 ? 16 : size;
+    Map2D<double> rho(n, n);
+    Rng rng(41 + static_cast<std::uint64_t>(n));
+    for (double& v : rho.raw()) v = size == 0 ? 0.0 : rng.uniform(0.0, 3.0);
+    rho.raw()[0] = 0.0;  // an empty bin
+
+    ElectrostaticSystem legacy(n, n, 96.0, 64.0);
+    legacy.use_legacy_pipeline(true);
+    legacy.solve(rho);
+    ElectrostaticSystem es(n, n, 96.0, 64.0);
+    for (const simd::Isa isa : host_widths()) {
+      simd::set_isa_limit(isa);
+      for (const int threads : {1, 2, 8}) {
+        par::set_num_threads(threads);
+        es.solve(rho);
+        const std::string where = "size=" + std::to_string(size) + " " +
+                                  simd::active_isa() + " threads=" +
+                                  std::to_string(threads);
+        EXPECT_TRUE(same_bits(es.potential().raw(), legacy.potential().raw()))
+            << "psi " << where;
+        EXPECT_TRUE(same_bits(es.field_x().raw(), legacy.field_x().raw()))
+            << "ex " << where;
+        EXPECT_TRUE(same_bits(es.field_y().raw(), legacy.field_y().raw()))
+            << "ey " << where;
+        const double e = es.energy(), le = legacy.energy();
+        EXPECT_EQ(std::memcmp(&e, &le, sizeof e), 0) << "energy " << where;
+      }
+    }
+    simd::set_isa_limit(simd::Isa::kAvx512);
+  }
+}
+
+TEST_F(GpSoaTest, FlowChecksumIdenticalAtEveryWidth) {
+  // The small-flow placement checksum at every forced vector width; the
+  // scalar reference runs with SIMD off. Legalization snaps cells to
+  // sites, which can hide a last-bit difference, so the GP-stage HPWL and
+  // the unsnapped positions after a few Nesterov steps are compared too.
+  auto run = [](std::uint64_t& placed, double& hpwl_gp,
+                std::vector<double>& gp_x, std::vector<double>& gp_y) {
+    Design d = generate_synthetic(small_spec());
+    hpwl_gp = PufferFlow(d, small_flow_config()).run().hpwl_gp;
+    placed = placement_checksum(d);
+    Design d2 = generate_synthetic(small_spec());
+    EPlaceEngine eng(d2, GpConfig{});
+    for (int i = 0; i < 10; ++i) eng.step();
+    gp_x = eng.solver_x();
+    gp_y = eng.solver_y();
+  };
+  simd::set_enabled(false);
+  std::uint64_t ref_placed = 0;
+  double ref_hpwl = 0.0;
+  std::vector<double> ref_x, ref_y;
+  run(ref_placed, ref_hpwl, ref_x, ref_y);
+  simd::set_enabled(true);
+  for (const simd::Isa isa : host_widths()) {
+    simd::set_isa_limit(isa);
+    std::uint64_t placed = 0;
+    double hpwl = 0.0;
+    std::vector<double> x, y;
+    run(placed, hpwl, x, y);
+    EXPECT_EQ(placed, ref_placed) << simd::isa_name(isa);
+    EXPECT_EQ(std::memcmp(&hpwl, &ref_hpwl, sizeof hpwl), 0)
+        << simd::isa_name(isa);
+    EXPECT_TRUE(same_bits(x, ref_x)) << simd::isa_name(isa);
+    EXPECT_TRUE(same_bits(y, ref_y)) << simd::isa_name(isa);
+  }
+}
+
+TEST_F(GpSoaTest, ActiveIsaReportsDispatchedWidth) {
+  simd::set_enabled(true);  // whatever PUFFER_SIMD says
+  const simd::Isa host = simd::host_isa();
+  EXPECT_STREQ(simd::active_isa(), simd::isa_name(host));
+  simd::set_isa_limit(simd::Isa::kSse2);
+  EXPECT_STREQ(simd::active_isa(),
+               host == simd::Isa::kScalar ? "scalar" : "sse2");
+  simd::set_isa_limit(simd::Isa::kAvx512);
+  simd::set_enabled(false);
+  EXPECT_EQ(simd::dispatch_isa(), simd::Isa::kScalar);
+  EXPECT_STREQ(simd::active_isa(), "scalar");
+  for (const simd::Isa isa : host_widths()) {
+    const std::string name = simd::isa_name(isa);
+    EXPECT_TRUE(name == "scalar" || name == "sse2" || name == "avx2" ||
+                name == "avx512")
+        << name;
+  }
 }
 
 TEST_F(GpSoaTest, SimdHelpersMatchScalarBitwise) {
