@@ -32,8 +32,8 @@
 #include "bench/bench_util.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "congestion/demand_ledger.h"
 #include "grid/capacity.h"
+#include "grid/routing_maps.h"
 #include "io/synthetic.h"
 #include "router/global_router.h"
 #include "router/path_use.h"

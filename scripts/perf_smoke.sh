@@ -8,8 +8,8 @@
 #   1. bit_identical must be "yes" in both -- the final placement (and
 #      feature) checksums agree across PUFFER_THREADS 1/2/8, with
 #      PUFFER_SIMD off, with the legacy scalar GP kernels, and across the
-#      padding extractor modes (fast-incremental, legacy oracle,
-#      non-incremental), all within this run (machine-independent).
+#      padding extractors (fast, legacy oracle), all within this run
+#      (machine-independent).
 #   2. Every checksum_* field must equal the committed reference, so a
 #      placement-changing regression cannot land silently even if it
 #      changes all configurations consistently. The reference is tied to

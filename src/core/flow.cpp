@@ -19,9 +19,9 @@ void log_start() {
 }  // namespace
 
 PufferFlow::PufferFlow(Design& design, PufferConfig config)
-    : design_(design), config_(config), legalizer_(config.legal) {}
+    : design_(design), config_(config) {}
 
-FlowMetrics PufferFlow::run() { return run_internal(nullptr, nullptr); }
+FlowMetrics PufferFlow::run() { return run_internal(nullptr); }
 
 std::uint64_t PufferFlow::prefix_key(double fork_overflow) const {
   BinaryWriter w;
@@ -55,21 +55,12 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
     initial_place(design_, config_.init);
   }
   EPlaceEngine engine(design_, config_.gp);
-  estimator_ =
-      std::make_unique<CongestionEstimator>(design_, config_.congestion);
   {
     ScopedStageTimer t(metrics.stages, "global_place");
     engine.run_to_overflow(fork_overflow);
   }
-  // Warm the demand ledger at the fork: every continuation's first
-  // padding round is then incremental over the fork state.
-  {
-    ScopedStageTimer t(metrics.stages, "routability_opt");
-    estimator_->estimate_incremental();
-  }
   metrics.hpwl_gp = design_.total_hpwl();
   metrics.gp_kernels.add(engine.kernel_times());
-  metrics.estimation = estimator_->incremental_stats();
   metrics.runtime_s = total.elapsed_seconds();
   PUFFER_LOG_INFO(kTag,
                   "prefix done in %.1fs at overflow %.3f (iter %d), hpwl %.4g",
@@ -90,19 +81,15 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
     out->padding.clear();  // the fork precedes every padding round
     out->rng_key = rng.key();
     out->rng_counter = rng.counter();
-    out->congestion_fingerprint = estimator_->config_fingerprint();
-    out->ledger_blob = estimator_->save_incremental_state();
   }
   return metrics;
 }
 
-FlowMetrics PufferFlow::run_from(const FlowSnapshot& snapshot,
-                                 const RoundCallback& cb) {
-  return run_internal(&snapshot, cb);
+FlowMetrics PufferFlow::run_from(const FlowSnapshot& snapshot) {
+  return run_internal(&snapshot);
 }
 
-FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
-                                     const RoundCallback& cb) {
+FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
   FlowMetrics metrics;
   Timer total;
   if (config_.num_threads > 0) par::set_num_threads(config_.num_threads);
@@ -130,21 +117,12 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
   // identically for an in-memory and an on-disk snapshot.
   EPlaceEngine engine(design_, config_.gp);
   PaddingEngine padder(design_, engine.movable_cells(), config_.padding);
-  // One estimator for all padding rounds: its demand ledger and topology
-  // cache carry over, so each round pays only for the nets that moved.
+  // One estimator for all padding rounds: its topology cache carries
+  // over and outlives run() for the warm evaluation router.
   estimator_ = std::make_unique<CongestionEstimator>(design_, config_.congestion);
-  if (snapshot != nullptr) {
+  if (snapshot != nullptr && !snapshot->padding.empty()) {
     ScopedStageTimer t(metrics.stages, "restore");
-    if (!snapshot->padding.empty()) {
-      engine.set_padding(snapshot->padding);
-    }
-    // The ledger is a pure warm start: restore it only when it was built
-    // under this flow's congestion config, else stay cold (full rebuild on
-    // the first round — bit-identical results either way, see PR-2).
-    if (!snapshot->ledger_blob.empty() &&
-        snapshot->congestion_fingerprint == estimator_->config_fingerprint()) {
-      estimator_->restore_incremental_state(snapshot->ledger_blob);
-    }
+    engine.set_padding(snapshot->padding);
   }
 
   // Global placement with interleaved routability optimization.
@@ -155,13 +133,12 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
       engine.run_to_overflow(config_.padding.tau);
       if (!padder.should_trigger(engine.density_overflow())) break;
       ScopedStageTimer t2(metrics.stages, "routability_opt");
-      const CongestionResult congestion = estimator_->estimate_incremental();
+      Timer est_timer;
+      const CongestionResult congestion = estimator_->estimate();
+      const double est_s = est_timer.elapsed_seconds();
+      metrics.estimation.add_full_pass(design_.nets.size(), est_s);
       const OverflowStats est_of = compute_overflow(congestion.maps);
       metrics.round_est_overflow.push_back(est_of.total_pct());
-      if (cb && !cb(round, est_of)) {
-        metrics.aborted_early = true;
-        break;
-      }
       if (progress_hook_) {
         FlowProgress progress;
         progress.round = round;
@@ -170,24 +147,18 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
         progress.maps = &congestion.maps;
         if (!progress_hook_(progress)) {
           metrics.aborted_early = true;
-          PUFFER_LOG_INFO(kTag, "flow cancelled by progress hook at round %d",
-                          round);
           break;
         }
       }
       ++round;
-      const IncrementalStats& est = estimator_->incremental_stats();
       const std::vector<double>& pad = padder.update(congestion);
       engine.set_padding(pad);
       PUFFER_LOG_INFO(kTag,
                       "padding round %d at iter %d (overflow %.3f, est "
-                      "expanded %d segs; %s est %.3fs, %d/%d nets dirty, "
-                      "cache hit %.0f%%)",
+                      "expanded %d segs in %.3fs)",
                       padder.attempts(), engine.iteration(),
                       engine.density_overflow(), congestion.expanded_segments,
-                      est.last_was_full ? "full" : "incr", est.last_time_s,
-                      est.last_dirty_nets, est.last_total_nets,
-                      100.0 * estimator_->tree_cache().hit_rate());
+                      est_s);
       // Let the density system absorb the new areas before re-estimating.
       for (int k = 0; k < config_.padding.spacing_iters; ++k) {
         if (!engine.step()) break;
@@ -215,11 +186,9 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
     // holds the mid-flow positions; the orchestrator only reads the
     // per-round overflow trail and the deterministic penalty loss.
     metrics.runtime_s = total.elapsed_seconds();
-    metrics.estimation = estimator_->incremental_stats();
     metrics.rsmt_cache_hit_rate = estimator_->tree_cache().hit_rate();
     metrics.padding_stage = padder.stage_metrics();
-    PUFFER_LOG_INFO(kTag, "flow aborted by round callback after round %d",
-                    round);
+    PUFFER_LOG_INFO(kTag, "flow stopped by progress hook at round %d", round);
     return metrics;
   }
 
@@ -249,7 +218,7 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
           std::min(padder.peak_applied_area(),
                    config_.discrete.max_pad_area_frac * movable_area);
     }
-    metrics.legalize = legalizer_.legalize(design_, levels);
+    metrics.legalize = legalize(design_, levels, config_.legal);
   }
   if (config_.run_dp) {
     ScopedStageTimer t(metrics.stages, "detailed_place");
@@ -258,7 +227,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
   metrics.hpwl_legal = design_.total_hpwl();
   metrics.legality = check_legality(design_);
   metrics.runtime_s = total.elapsed_seconds();
-  metrics.estimation = estimator_->incremental_stats();
   metrics.rsmt_cache_hit_rate = estimator_->tree_cache().hit_rate();
   metrics.padding_stage = padder.stage_metrics();
   PUFFER_LOG_INFO(kTag, "flow done in %.1fs: hpwl %.4g -> %.4g, %s",
@@ -266,12 +234,10 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
                   metrics.legality.summary().c_str());
   PUFFER_LOG_INFO(
       kTag,
-      "legalize: %s %.3fs, %d placed (%d failed), avg/max disp %.3g/%.3g, "
-      "%d/%d rows rebuilt",
-      metrics.legalize.incremental ? "incr" : "full", metrics.legalize.time_s,
-      metrics.legalize.placed, metrics.legalize.failed_cells,
-      metrics.legalize.avg_displacement(), metrics.legalize.max_displacement,
-      metrics.legalize.rows_rebuilt, metrics.legalize.rows_total);
+      "legalize: %.3fs, %d placed (%d failed), avg/max disp %.3g/%.3g",
+      metrics.legalize.time_s, metrics.legalize.placed,
+      metrics.legalize.failed_cells, metrics.legalize.avg_displacement(),
+      metrics.legalize.max_displacement);
   if (config_.run_dp) {
     PUFFER_LOG_INFO(kTag,
                     "dp: %.3fs, %d/%d moves accepted in %d passes, hpwl "
@@ -282,28 +248,13 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
                     metrics.dp.improvement_pct());
   }
   if (metrics.estimation.calls > 0) {
-    PUFFER_LOG_INFO(
-        kTag,
-        "estimation: %d calls (%d full), %.1f%% nets dirty on incr rounds, "
-        "incr %.3fs / full %.3fs, rsmt cache hit %.0f%%, drift %llu",
-        metrics.estimation.calls, metrics.estimation.full_rebuilds,
-        100.0 * metrics.estimation.dirty_net_frac(),
-        metrics.estimation.incremental_time_s, metrics.estimation.full_time_s,
-        100.0 * metrics.rsmt_cache_hit_rate,
-        static_cast<unsigned long long>(metrics.estimation.drift_count));
-  }
-  if (metrics.padding_stage.extracts > 0) {
-    const PaddingStageMetrics& fs = metrics.padding_stage;
-    PUFFER_LOG_INFO(
-        kTag,
-        "padding features: %d extracts (%d full) in %.3fs, %.1f%% gcells "
-        "dirty on incr rounds, incidence hit %.0f%%, nets %lld reused / "
-        "%lld recomputed, drift %llu",
-        fs.extracts, fs.full_rebuilds, fs.feature_time_s,
-        100.0 * fs.dirty_gcell_frac(), 100.0 * fs.incidence_hit_rate(),
-        static_cast<long long>(fs.nets_reused),
-        static_cast<long long>(fs.nets_recomputed),
-        static_cast<unsigned long long>(fs.drift_count));
+    PUFFER_LOG_INFO(kTag,
+                    "estimation: %d calls in %.3fs, rsmt cache hit %.0f%%; "
+                    "padding features: %d extracts in %.3fs",
+                    metrics.estimation.calls, metrics.estimation.full_time_s,
+                    100.0 * metrics.rsmt_cache_hit_rate,
+                    metrics.padding_stage.extracts,
+                    metrics.padding_stage.feature_time_s);
   }
   return metrics;
 }

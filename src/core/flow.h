@@ -91,26 +91,25 @@ struct FlowMetrics {
   double runtime_s = 0.0;
   StageTimes stages;
   LegalityReport legality;
-  // Incremental-estimation observability: ledger stats accumulated over
-  // the padding rounds plus the RSMT topology-cache hit rate.
+  // Estimation observability accumulated over the padding rounds, plus
+  // the RSMT topology-cache hit rate.
   IncrementalStats estimation;
   double rsmt_cache_hit_rate = 0.0;
-  // Padding feature-pipeline observability: extraction wall time,
-  // dirty-Gcell fraction, per-net cache hit rates, verified rebuilds
-  // (see padding/features.h).
+  // Padding feature-pipeline observability: extraction wall time and work
+  // counts (see padding/features.h).
   PaddingStageMetrics padding_stage;
   RouterStageMetrics router;
   // Legalization / detailed-placement stage observability (wall time,
-  // dirty-row fraction, displacement — see LegalizeResult /
-  // DetailedPlaceResult). dp is all-zero unless run_dp is set.
+  // rows built, displacement — see LegalizeResult / DetailedPlaceResult).
+  // dp is all-zero unless run_dp is set.
   LegalizeResult legalize;
   DetailedPlaceResult dp;
   // Estimated total overflow (%) after each padding-round congestion
   // estimate, in round order — the rung metrics the early-stop pruner
-  // reads.
+  // reads. A round's value is recorded before the progress hook sees it.
   std::vector<double> round_est_overflow;
-  // True when a round callback stopped the flow before final convergence
-  // (the session was pruned; legalization was skipped).
+  // True when the progress hook stopped the flow before final convergence
+  // (a pruned or cancelled session; legalization was skipped).
   bool aborted_early = false;
   OrchestratorStageMetrics orchestrator;
   // Per-kernel wall-time breakdown of the global-placement Nesterov loop
@@ -119,19 +118,13 @@ struct FlowMetrics {
   GpKernelTimes gp_kernels;
 };
 
-// Per-padding-round progress hook for run_from(): called after each
-// round's congestion estimate with the round index (0-based) and the
-// estimated overflow. Returning false aborts the flow (skipping final
-// convergence and legalization) — the early-stop pruning mechanism.
-using RoundCallback =
-    std::function<bool(int round, const OverflowStats& est)>;
-
-// Richer per-round progress record for observers (the serve daemon's
-// streaming telemetry): the round's estimated overflow, the current
-// HPWL, and a read-only view of the round's congestion maps (valid only
-// for the duration of the hook call). Observers must not mutate the
-// design — the hook is called mid-flow and anything it changes would
-// break the determinism contract.
+// Per-padding-round progress record for the flow's one observer (the
+// trial pruner, the serve daemon's streaming telemetry): the round index
+// (0-based), the round's estimated overflow, the current HPWL, and a
+// read-only view of the round's congestion maps (valid only for the
+// duration of the hook call). Observers must not mutate the design — the
+// hook is called mid-flow and anything it changes would break the
+// determinism contract.
 struct FlowProgress {
   int round = 0;
   OverflowStats est;
@@ -140,10 +133,10 @@ struct FlowProgress {
 };
 
 // Returning false cancels the flow at the round boundary: the run stops
-// before final convergence and legalization with aborted_early set, the
-// same early-exit path the pruning callback uses. Cancellation is only
-// observed at padding-round boundaries (a flow that never triggers
-// padding runs to completion).
+// before final convergence and legalization with aborted_early set (the
+// early-stop pruning mechanism). Cancellation is only observed at
+// padding-round boundaries (a flow that never triggers padding runs to
+// completion).
 using ProgressHook = std::function<bool(const FlowProgress&)>;
 
 class PufferFlow {
@@ -156,17 +149,16 @@ class PufferFlow {
   // --- staged flow (trial orchestration; see docs/architecture.md) ----
   //
   // run_prefix() executes the trial-invariant part of the flow — initial
-  // placement plus global placement down to `fork_overflow` — and then
-  // warms the congestion ledger with one estimate. It captures the fork
-  // state (positions, RNG stream, serialized ledger) into *out.
+  // placement plus global placement down to `fork_overflow` — and
+  // captures the fork state (positions, RNG stream) into *out.
   // `fork_overflow` must be >= the largest padding trigger tau any
   // continuation will use, so no padding round ever lands in the prefix.
   //
   // run_from() restores the fork state and runs the rest of the flow:
   // a fresh placement engine (the Nesterov state restarts from the
   // restored positions at the boundary — the staged contract), the
-  // padding loop, final convergence and legalization. `cb` (optional)
-  // is the per-round pruning hook.
+  // padding loop, final convergence and legalization. The progress hook
+  // observes its padding rounds, as in run().
   //
   // Bit-identity contract: run_from(s) produces identical results
   // whether `s` came from run_prefix() in the same process or through
@@ -175,8 +167,7 @@ class PufferFlow {
   // PUFFER_THREADS like every other kernel.
   FlowMetrics run_prefix(double fork_overflow, const RngStream& rng,
                          FlowSnapshot* out);
-  FlowMetrics run_from(const FlowSnapshot& snapshot,
-                       const RoundCallback& cb = nullptr);
+  FlowMetrics run_from(const FlowSnapshot& snapshot);
 
   // Hash of the prefix-relevant configuration (initial placement, GP,
   // fork point). Trials may only fork from a snapshot whose prefix_key
@@ -188,15 +179,9 @@ class PufferFlow {
   // topology cache instead of rebuilding every net's tree.
   CongestionEstimator* estimator() { return estimator_.get(); }
 
-  // The flow's legalizer. Its ledger persists across run() calls, so
-  // repeat invocations on a perturbed design (padding re-tuning, TPE
-  // trials re-running the flow) legalize incrementally.
-  IncrementalLegalizer& legalizer() { return legalizer_; }
-
-  // Installs a per-round telemetry/cancellation observer, invoked (after
-  // the pruning callback, when both are set) at every padding-round
-  // boundary of run() and run_from(). Read-only: installing a hook never
-  // changes the flow's results.
+  // Installs the per-round telemetry/cancellation observer, invoked at
+  // every padding-round boundary of run() and run_from(). Read-only:
+  // installing a hook never changes the flow's results.
   void set_progress_hook(ProgressHook hook) {
     progress_hook_ = std::move(hook);
   }
@@ -204,16 +189,14 @@ class PufferFlow {
  private:
   // Shared body of run() / run_from(): `snapshot` non-null restores the
   // fork state instead of running initial placement.
-  FlowMetrics run_internal(const FlowSnapshot* snapshot,
-                           const RoundCallback& cb);
+  FlowMetrics run_internal(const FlowSnapshot* snapshot);
 
   Design& design_;
   PufferConfig config_;
   ProgressHook progress_hook_;
-  // Owned by the flow so the demand ledger and topology cache persist
-  // across padding rounds (and outlive run() for warm evaluation).
+  // Owned by the flow so the topology cache persists across padding
+  // rounds (and outlives run() for warm evaluation).
   std::unique_ptr<CongestionEstimator> estimator_;
-  IncrementalLegalizer legalizer_;
 };
 
 // Runs the evaluation router on the design's current placement. `warm`

@@ -3,6 +3,7 @@
 // (Eq. 7-style) and map export for Fig. 5-like congestion pictures.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -11,6 +12,21 @@
 #include "grid/map2d.h"
 
 namespace puffer {
+
+// Exact demand arithmetic: every estimated demand contribution is rounded
+// to a multiple of kDemandQuantum (2^-40). Sums of such values are exact
+// IEEE-double integer arithmetic while a Gcell's demand stays below
+// 2^53 * 2^-40 = 8192 track-equivalents, so addition is associative and
+// subtraction cancels exactly: the estimate is the same for any
+// accumulation order (and thus any thread count), and the router's
+// rip-up/re-apply of a path restores the map bit for bit. Detour moves
+// are +/-1.0, already exact.
+constexpr double kDemandQuantum = 1.0 / (1024.0 * 1024.0 * 1024.0 * 1024.0);
+constexpr double kDemandScale = 1024.0 * 1024.0 * 1024.0 * 1024.0;
+
+inline double quantize_demand(double v) {
+  return std::round(v * kDemandScale) * kDemandQuantum;
+}
 
 struct RoutingMaps {
   GcellGrid grid;
@@ -57,9 +73,8 @@ struct OverflowStats {
 OverflowStats compute_overflow(const RoutingMaps& maps);
 
 // FNV-1a over the raw bit patterns of both demand maps. Bit-identical maps
-// (and only those) hash equal, so the incremental estimator's drift check,
-// the randomized-equivalence tests and the benchmark can compare full vs
-// ledger-based results with a single number.
+// (and only those) hash equal, so the thread-count tests, the golden flow
+// test and the benchmarks can compare two estimates with a single number.
 std::uint64_t demand_checksum(const RoutingMaps& maps);
 
 // Pearson correlation between two equally-sized maps; used by the

@@ -41,15 +41,15 @@ TrialResult run_trial_session(const Design& base_design,
   int prune_round = -1;
   double prune_value = 0.0;
   const PruneThresholds* pruner = task.pruner;
-  const RoundCallback cb = [&](int round, const OverflowStats& est) {
-    if (pruner && pruner->should_prune(round, est.total_pct())) {
-      prune_round = round;
-      prune_value = est.total_pct();
+  flow.set_progress_hook([&](const FlowProgress& p) {
+    if (pruner && pruner->should_prune(p.round, p.est.total_pct())) {
+      prune_round = p.round;
+      prune_value = p.est.total_pct();
       return false;
     }
     return true;
-  };
-  result.flow = flow.run_from(*task.snapshot, cb);
+  });
+  result.flow = flow.run_from(*task.snapshot);
   result.rounds = result.flow.round_est_overflow;
 
   if (result.flow.aborted_early) {

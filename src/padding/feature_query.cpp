@@ -26,40 +26,36 @@ void RowColRmq::build(const std::vector<std::int64_t>& vals, int nx, int ny) {
   }
   row_table_.assign(static_cast<std::size_t>(row_levels_) * cells_, 0);
   col_table_.assign(static_cast<std::size_t>(col_levels_) * cells_, 0);
-  for (int gy = 0; gy < ny_; ++gy) rebuild_row(vals, gy);
-  for (int gx = 0; gx < nx_; ++gx) rebuild_col(vals, gx);
-}
-
-void RowColRmq::rebuild_row(const std::vector<std::int64_t>& vals, int gy) {
-  const std::size_t row =
-      static_cast<std::size_t>(gy) * static_cast<std::size_t>(nx_);
-  std::int64_t* t0 = row_table_.data() + row;
-  const std::int64_t* src = vals.data() + row;
-  for (int x = 0; x < nx_; ++x) t0[x] = src[x];
-  for (int k = 1; k < row_levels_; ++k) {
-    const std::int64_t* prev = row_table_.data() + (k - 1) * cells_ + row;
-    std::int64_t* cur = row_table_.data() + k * cells_ + row;
-    const int half = 1 << (k - 1);
-    for (int x = 0; x + (1 << k) <= nx_; ++x) {
-      cur[x] = std::max(prev[x], prev[x + half]);
+  for (int gy = 0; gy < ny_; ++gy) {
+    const std::size_t row =
+        static_cast<std::size_t>(gy) * static_cast<std::size_t>(nx_);
+    std::int64_t* t0 = row_table_.data() + row;
+    const std::int64_t* src = vals.data() + row;
+    for (int x = 0; x < nx_; ++x) t0[x] = src[x];
+    for (int k = 1; k < row_levels_; ++k) {
+      const std::int64_t* prev = row_table_.data() + (k - 1) * cells_ + row;
+      std::int64_t* cur = row_table_.data() + k * cells_ + row;
+      const int half = 1 << (k - 1);
+      for (int x = 0; x + (1 << k) <= nx_; ++x) {
+        cur[x] = std::max(prev[x], prev[x + half]);
+      }
     }
   }
-}
-
-void RowColRmq::rebuild_col(const std::vector<std::int64_t>& vals, int gx) {
-  const std::size_t col =
-      static_cast<std::size_t>(gx) * static_cast<std::size_t>(ny_);
-  std::int64_t* t0 = col_table_.data() + col;
-  for (int y = 0; y < ny_; ++y) {
-    t0[y] = vals[static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
-                 static_cast<std::size_t>(gx)];
-  }
-  for (int k = 1; k < col_levels_; ++k) {
-    const std::int64_t* prev = col_table_.data() + (k - 1) * cells_ + col;
-    std::int64_t* cur = col_table_.data() + k * cells_ + col;
-    const int half = 1 << (k - 1);
-    for (int y = 0; y + (1 << k) <= ny_; ++y) {
-      cur[y] = std::max(prev[y], prev[y + half]);
+  for (int gx = 0; gx < nx_; ++gx) {
+    const std::size_t col =
+        static_cast<std::size_t>(gx) * static_cast<std::size_t>(ny_);
+    std::int64_t* t0 = col_table_.data() + col;
+    for (int y = 0; y < ny_; ++y) {
+      t0[y] = vals[static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
+                   static_cast<std::size_t>(gx)];
+    }
+    for (int k = 1; k < col_levels_; ++k) {
+      const std::int64_t* prev = col_table_.data() + (k - 1) * cells_ + col;
+      std::int64_t* cur = col_table_.data() + k * cells_ + col;
+      const int half = 1 << (k - 1);
+      for (int y = 0; y + (1 << k) <= ny_; ++y) {
+        cur[y] = std::max(prev[y], prev[y + half]);
+      }
     }
   }
 }

@@ -1,19 +1,13 @@
 #include "padding/features.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
-#include "common/logger.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 
 namespace puffer {
-
-namespace {
-constexpr const char* kTag = "features";
-}
 
 double FeatureVector::operator[](int i) const {
   switch (i) {
@@ -208,9 +202,38 @@ std::vector<double> build_sites(const Design& design, const GcellGrid& grid) {
   return sites;
 }
 
+// The quantized combined congestion and pins-per-site density of every
+// Gcell (row-major, into `qcg` / `pdq`); returns the exact sum of `pdq`.
+std::int64_t quantize_maps(const Design& design, const RoutingMaps& maps,
+                           std::vector<std::int64_t>& qcg,
+                           std::vector<std::int64_t>& pdq) {
+  const GcellGrid& grid = maps.grid;
+  const int nx = grid.nx(), ny = grid.ny();
+  const std::size_t n_gcells =
+      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
+  qcg.resize(n_gcells);
+  std::size_t flat = 0;
+  for (int gy = 0; gy < ny; ++gy) {
+    for (int gx = 0; gx < nx; ++gx) qcg[flat++] = quantize_feature(maps.cg(gx, gy));
+  }
+  std::vector<std::int32_t> count(n_gcells, 0);
+  for (const Pin& pin : design.pins) {
+    const Cell& c = design.cells[static_cast<std::size_t>(pin.cell)];
+    const GcellIndex g = grid.index_of(c.x + pin.dx, c.y + pin.dy);
+    ++count[static_cast<std::size_t>(g.gy) * nx + g.gx];
+  }
+  const std::vector<double> sites = build_sites(design, grid);
+  pdq.resize(n_gcells);
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < n_gcells; ++i) {
+    pdq[i] = quantize_feature(static_cast<double>(count[i]) / sites[i]);
+    total += pdq[i];
+  }
+  return total;
+}
+
 // One cell's feature vector from the quantized maps. lo/hi is the cell's
-// inclusive overlapped-Gcell range (callers compute it -- the fast path
-// caches it per cell across rounds, the oracle derives it inline).
+// inclusive overlapped-Gcell range.
 // cg_win/pd_win are inclusive int64 window-sum functors (SAT on the fast
 // path, brute-force scans on the oracle); the integer max loops are
 // shared outright.
@@ -253,64 +276,30 @@ FeatureVector assemble_cell(const GcellGrid& grid, GcellIndex lo,
   return f;
 }
 
-std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
-  // splitmix64 finalizer over the running state: one word per step
-  // instead of a byte loop. These fingerprints are only ever compared
-  // against each other within one process, so the mixer can favour
-  // speed over any standardized byte-stream hash.
-  std::uint64_t z = (h ^ v) + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fp_bits(double d) {
-  std::uint64_t u;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-// Content hash of one RSMT tree (points, segments, pin mapping). The
-// per-net cache keys on this -- never on the estimator's topology-cache
-// keys, whose quantized collisions would alias distinct trees.
-std::uint64_t tree_fingerprint(const RsmtTree& t) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fp_mix(h, t.points.size());
-  h = fp_mix(h, t.segments.size());
-  for (const RsmtPoint& p : t.points) {
-    h = fp_mix(h, fp_bits(p.pos.x));
-    h = fp_mix(h, fp_bits(p.pos.y));
-    h = fp_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.pin)));
-  }
-  for (const RsmtSegment& s : t.segments) {
-    h = fp_mix(h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.a))
-                   << 32) |
-                      static_cast<std::uint32_t>(s.b));
-  }
-  for (int pp : t.pin_point) {
-    h = fp_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(pp)));
-  }
-  return h;
-}
-
 }  // namespace
 
 std::vector<FeatureVector> FeatureExtractor::extract(
     const CongestionResult& congestion, const std::vector<CellId>& cells) {
   Timer timer;
-  ++metrics_.extracts;
   std::vector<FeatureVector> out = config_.use_legacy_extractor
                                        ? extract_legacy(congestion, cells)
                                        : extract_fast(congestion, cells);
+  const GcellGrid& grid = congestion.maps.grid;
+  const std::int64_t n_gcells = static_cast<std::int64_t>(grid.nx()) *
+                                static_cast<std::int64_t>(grid.ny());
+  ++metrics_.extracts;
+  metrics_.dirty_gcells_total += n_gcells;
+  metrics_.gcells_total += n_gcells;
+  metrics_.nets_recomputed += static_cast<std::int64_t>(design_.nets.size());
   metrics_.feature_time_s += timer.elapsed_seconds();
   return out;
 }
 
-// --- scalar from-scratch oracle ----------------------------------------
-// The pre-pipeline extractor on quantized integers: serial, stateless,
-// O(span) path scans, per-round incidence rebuilds, brute-force window
-// sums. Shares every integer primitive and final formula with the fast
-// path, so the two are bit-identical by construction.
+// --- scalar oracle -------------------------------------------------------
+// The pre-pipeline extractor on quantized integers: serial, O(span) path
+// scans, per-net incidence vectors, brute-force window sums. Shares every
+// integer primitive and final formula with the fast path, so the two are
+// bit-identical by construction.
 std::vector<FeatureVector> FeatureExtractor::extract_legacy(
     const CongestionResult& congestion, const std::vector<CellId>& cells) const {
   const RoutingMaps& maps = congestion.maps;
@@ -319,30 +308,8 @@ std::vector<FeatureVector> FeatureExtractor::extract_legacy(
   const std::size_t n_gcells =
       static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
 
-  // Quantized combined congestion.
-  std::vector<std::int64_t> qcg(n_gcells);
-  {
-    std::size_t flat = 0;
-    for (int gy = 0; gy < ny; ++gy) {
-      for (int gx = 0; gx < nx; ++gx) qcg[flat++] = quantize_feature(maps.cg(gx, gy));
-    }
-  }
-
-  // Quantized pin density: pins per Gcell over available sites.
-  std::vector<std::int32_t> count(n_gcells, 0);
-  for (const Pin& pin : design_.pins) {
-    const Cell& c = design_.cells[static_cast<std::size_t>(pin.cell)];
-    const GcellIndex g = grid.index_of(c.x + pin.dx, c.y + pin.dy);
-    ++count[static_cast<std::size_t>(g.gy) * nx + g.gx];
-  }
-  const std::vector<double> sites = build_sites(design_, grid);
-  std::vector<std::int64_t> pdq(n_gcells);
-  std::int64_t total = 0;
-  for (std::size_t flat = 0; flat < n_gcells; ++flat) {
-    pdq[flat] =
-        quantize_feature(static_cast<double>(count[flat]) / sites[flat]);
-    total += pdq[flat];
-  }
+  std::vector<std::int64_t> qcg, pdq;
+  const std::int64_t total = quantize_maps(design_, maps, qcg, pdq);
   const double mean_q =
       static_cast<double>(total) / static_cast<double>(n_gcells);
 
@@ -421,37 +388,17 @@ std::vector<FeatureVector> FeatureExtractor::extract_legacy(
   return out;
 }
 
-// --- fast-path state management ----------------------------------------
+// --- fast path -----------------------------------------------------------
 
-void FeatureExtractor::allocate_state(const GcellGrid& grid) {
-  grid_ = grid;
-  nx_ = grid.nx();
-  ny_ = grid.ny();
-  const std::size_t n =
-      static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
-  qcg_.assign(n, 0);
-  pdq_.assign(n, 0);
-  pdq_total_ = 0;
-  sites_.assign(n, 1.0);
-  pin_count_.assign(n, 0);
-  pin_gcell_.assign(design_.pins.size(), 0);
-  cell_x_.assign(design_.cells.size(), 0.0);
-  cell_y_.assign(design_.cells.size(), 0.0);
-  epoch_ = 0;
-  cell_epoch_.assign(n, 0);
-  row_epoch_.assign(static_cast<std::size_t>(ny_), 0);
-  col_epoch_.assign(static_cast<std::size_t>(nx_), 0);
-  dirty_rows_.clear();
-  dirty_cols_.clear();
-  nets_.assign(design_.nets.size(), NetEntry{});
-  net_round_epoch_.assign(design_.nets.size(), 0);
-  pin_off_.assign(design_.nets.size() + 1, 0);
-  for (std::size_t n = 0; n < design_.nets.size(); ++n) {
+void FeatureExtractor::allocate_arenas() {
+  const std::size_t n_nets = design_.nets.size();
+  pin_off_.assign(n_nets + 1, 0);
+  for (std::size_t n = 0; n < n_nets; ++n) {
     pin_off_[n + 1] =
         pin_off_[n] + static_cast<std::int32_t>(design_.nets[n].pins.size());
   }
   pin_slot_cell_.resize(static_cast<std::size_t>(pin_off_.back()));
-  for (std::size_t n = 0; n < design_.nets.size(); ++n) {
+  for (std::size_t n = 0; n < n_nets; ++n) {
     std::int32_t s = pin_off_[n];
     for (PinId pid : design_.nets[n].pins) {
       pin_slot_cell_[static_cast<std::size_t>(s++)] = static_cast<std::int32_t>(
@@ -460,10 +407,10 @@ void FeatureExtractor::allocate_state(const GcellGrid& grid) {
   }
   pin_best_flat_.assign(static_cast<std::size_t>(pin_off_.back()), kNoPath);
   cell_pin_q_.assign(design_.cells.size(), 0);
-  pt_base_.assign(design_.nets.size() + 1, 0);
-  inc_off_base_.assign(design_.nets.size() + 1, 0);
-  inc_seg_base_.assign(design_.nets.size() + 1, 0);
-  for (std::size_t n = 0; n < design_.nets.size(); ++n) {
+  pt_base_.assign(n_nets + 1, 0);
+  inc_off_base_.assign(n_nets + 1, 0);
+  inc_seg_base_.assign(n_nets + 1, 0);
+  for (std::size_t n = 0; n < n_nets; ++n) {
     const std::int32_t p =
         static_cast<std::int32_t>(design_.nets[n].pins.size());
     const std::int32_t cap = p <= 1 ? p : 2 * p - 2;
@@ -476,225 +423,10 @@ void FeatureExtractor::allocate_state(const GcellGrid& grid) {
   pt_gy_.assign(static_cast<std::size_t>(pt_base_.back()), 0);
   inc_off_.assign(static_cast<std::size_t>(inc_off_base_.back()), 0);
   inc_seg_.assign(static_cast<std::size_t>(inc_seg_base_.back()), 0);
-  cell_glo_.assign(design_.cells.size(), GcellIndex{});
-  cell_ghi_.assign(design_.cells.size(), GcellIndex{});
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  asm_x_.assign(design_.cells.size(), nan);
-  asm_y_.assign(design_.cells.size(), nan);
-  last_uid_ = 0;
-  last_revision_ = 0;
-  extracts_since_rebuild_ = 0;
-  have_ = true;
 }
 
-void FeatureExtractor::mark_gcell(int flat, int gx, int gy) {
-  cell_epoch_[static_cast<std::size_t>(flat)] = epoch_;
-  if (row_epoch_[static_cast<std::size_t>(gy)] != epoch_) {
-    row_epoch_[static_cast<std::size_t>(gy)] = epoch_;
-    dirty_rows_.push_back(gy);
-  }
-  if (col_epoch_[static_cast<std::size_t>(gx)] != epoch_) {
-    col_epoch_[static_cast<std::size_t>(gx)] = epoch_;
-    dirty_cols_.push_back(gx);
-  }
-}
-
-void FeatureExtractor::mark_all_dirty() {
-  std::fill(cell_epoch_.begin(), cell_epoch_.end(), epoch_);
-  std::fill(row_epoch_.begin(), row_epoch_.end(), epoch_);
-  std::fill(col_epoch_.begin(), col_epoch_.end(), epoch_);
-  // A full RMQ build supersedes the per-row/column rebuild lists.
-  dirty_rows_.clear();
-  dirty_cols_.clear();
-}
-
-// True when no Gcell inside the entry's tree bbox changed after the epoch
-// its pin_best was computed at. Row/column summaries reject clean boxes
-// in O(extent); only mixed boxes fall back to the cell scan.
-bool FeatureExtractor::box_clean(const NetEntry& e) const {
-  bool clean = true;
-  for (int gy = e.by0; gy <= e.by1; ++gy) {
-    if (row_epoch_[static_cast<std::size_t>(gy)] > e.epoch) {
-      clean = false;
-      break;
-    }
-  }
-  if (clean) return true;
-  clean = true;
-  for (int gx = e.bx0; gx <= e.bx1; ++gx) {
-    if (col_epoch_[static_cast<std::size_t>(gx)] > e.epoch) {
-      clean = false;
-      break;
-    }
-  }
-  if (clean) return true;
-  for (int gy = e.by0; gy <= e.by1; ++gy) {
-    const std::size_t row = static_cast<std::size_t>(gy) * nx_;
-    for (int gx = e.bx0; gx <= e.bx1; ++gx) {
-      if (cell_epoch_[row + gx] > e.epoch) return false;
-    }
-  }
-  return true;
-}
-
-std::int64_t FeatureExtractor::sync_incremental(
-    const CongestionResult& congestion) {
-  const RoutingMaps& maps = congestion.maps;
-  std::int64_t changed = 0;
-
-  // Quantized congestion: delta-guided when the estimator's dirty list is
-  // valid and continuous with the last consumed result, else a full
-  // self-diff (exact either way -- the diff is what marks).
-  const CongestionDelta& d = congestion.delta;
-  const bool continuous = d.valid && last_uid_ != 0 &&
-                          d.source_uid == last_uid_ &&
-                          d.revision == last_revision_ + 1;
-  if (continuous) {
-    for (std::int32_t flat : d.dirty_gcells) {
-      const int gx = flat % nx_, gy = flat / nx_;
-      const std::int64_t q = quantize_feature(maps.cg(gx, gy));
-      if (q != qcg_[static_cast<std::size_t>(flat)]) {
-        qcg_[static_cast<std::size_t>(flat)] = q;
-        mark_gcell(flat, gx, gy);
-        ++changed;
-      }
-    }
-  } else {
-    std::size_t flat = 0;
-    for (int gy = 0; gy < ny_; ++gy) {
-      for (int gx = 0; gx < nx_; ++gx, ++flat) {
-        const std::int64_t q = quantize_feature(maps.cg(gx, gy));
-        if (q != qcg_[flat]) {
-          qcg_[flat] = q;
-          mark_gcell(static_cast<int>(flat), gx, gy);
-          ++changed;
-        }
-      }
-    }
-  }
-
-  // Pin layer: moved cells re-bin their pins (exact +/-1 count updates);
-  // a macro move invalidates the site map and with it every density.
-  moved_cells_.clear();
-  changed_pd_.clear();
-  bool macro_moved = false;
-  for (std::size_t ci = 0; ci < design_.cells.size(); ++ci) {
-    const Cell& c = design_.cells[ci];
-    if (c.x == cell_x_[ci] && c.y == cell_y_[ci]) continue;
-    cell_x_[ci] = c.x;
-    cell_y_[ci] = c.y;
-    if (c.is_macro()) macro_moved = true;
-    moved_cells_.push_back(ci);
-  }
-  for (std::size_t ci : moved_cells_) {
-    const Cell& c = design_.cells[ci];
-    for (PinId pid : c.pins) {
-      const Pin& pin = design_.pins[static_cast<std::size_t>(pid)];
-      const GcellIndex g = grid_.index_of(c.x + pin.dx, c.y + pin.dy);
-      const std::int32_t flat =
-          static_cast<std::int32_t>(g.gy) * nx_ + static_cast<std::int32_t>(g.gx);
-      const std::int32_t old = pin_gcell_[static_cast<std::size_t>(pid)];
-      if (flat == old) continue;
-      --pin_count_[static_cast<std::size_t>(old)];
-      ++pin_count_[static_cast<std::size_t>(flat)];
-      pin_gcell_[static_cast<std::size_t>(pid)] = flat;
-      changed_pd_.push_back(old);
-      changed_pd_.push_back(flat);
-    }
-  }
-  if (macro_moved) {
-    sites_ = build_sites(design_, grid_);
-    std::int64_t total = 0;
-    for (std::size_t flat = 0; flat < pdq_.size(); ++flat) {
-      pdq_[flat] = quantize_feature(static_cast<double>(pin_count_[flat]) /
-                                    sites_[flat]);
-      total += pdq_[flat];
-    }
-    pdq_total_ = total;
-  } else if (!changed_pd_.empty()) {
-    std::sort(changed_pd_.begin(), changed_pd_.end());
-    changed_pd_.erase(std::unique(changed_pd_.begin(), changed_pd_.end()),
-                      changed_pd_.end());
-    for (std::int32_t flat : changed_pd_) {
-      const std::int64_t q = quantize_feature(
-          static_cast<double>(pin_count_[static_cast<std::size_t>(flat)]) /
-          sites_[static_cast<std::size_t>(flat)]);
-      pdq_total_ += q - pdq_[static_cast<std::size_t>(flat)];
-      pdq_[static_cast<std::size_t>(flat)] = q;
-    }
-  }
-  return changed;
-}
-
-bool FeatureExtractor::sync_full(const CongestionResult& congestion,
-                                 bool verify) {
-  const RoutingMaps& maps = congestion.maps;
-  const std::size_t n_gcells = qcg_.size();
-
-  std::vector<std::int64_t> fresh_qcg(n_gcells);
-  {
-    std::size_t flat = 0;
-    for (int gy = 0; gy < ny_; ++gy) {
-      for (int gx = 0; gx < nx_; ++gx) {
-        fresh_qcg[flat++] = quantize_feature(maps.cg(gx, gy));
-      }
-    }
-  }
-  std::vector<std::int32_t> fresh_gcell(design_.pins.size());
-  std::vector<std::int32_t> fresh_count(n_gcells, 0);
-  for (std::size_t p = 0; p < design_.pins.size(); ++p) {
-    const Pin& pin = design_.pins[p];
-    const Cell& c = design_.cells[static_cast<std::size_t>(pin.cell)];
-    const GcellIndex g = grid_.index_of(c.x + pin.dx, c.y + pin.dy);
-    const std::int32_t flat =
-        static_cast<std::int32_t>(g.gy) * nx_ + static_cast<std::int32_t>(g.gx);
-    fresh_gcell[p] = flat;
-    ++fresh_count[static_cast<std::size_t>(flat)];
-  }
-  std::vector<double> fresh_sites = build_sites(design_, grid_);
-  std::vector<std::int64_t> fresh_pdq(n_gcells);
-  std::int64_t fresh_total = 0;
-  for (std::size_t flat = 0; flat < n_gcells; ++flat) {
-    fresh_pdq[flat] = quantize_feature(
-        static_cast<double>(fresh_count[flat]) / fresh_sites[flat]);
-    fresh_total += fresh_pdq[flat];
-  }
-
-  bool adopt = true;
-  if (verify) {
-    // The incrementally maintained state was advanced first (the
-    // IncrementalLegalizer / estimator verify-rebuild ordering); a
-    // mismatch here is drift and the fresh maps win.
-    const bool same = fresh_qcg == qcg_ && fresh_pdq == pdq_ &&
-                      fresh_count == pin_count_ && fresh_gcell == pin_gcell_ &&
-                      fresh_sites == sites_ && fresh_total == pdq_total_;
-    if (same) {
-      adopt = false;
-    } else {
-      ++metrics_.drift_count;
-      PUFFER_LOG_ERROR(kTag,
-                       "feature maps drifted from full rebuild; adopting "
-                       "the from-scratch maps");
-    }
-  }
-  if (adopt) {
-    qcg_.swap(fresh_qcg);
-    pdq_.swap(fresh_pdq);
-    pin_count_.swap(fresh_count);
-    pin_gcell_.swap(fresh_gcell);
-    sites_.swap(fresh_sites);
-    pdq_total_ = fresh_total;
-    for (std::size_t ci = 0; ci < design_.cells.size(); ++ci) {
-      cell_x_[ci] = design_.cells[ci].x;
-      cell_y_[ci] = design_.cells[ci].y;
-    }
-  }
-  return adopt;
-}
-
-void FeatureExtractor::refresh_net_topology(std::size_t n,
-                                            const RsmtTree& tree,
-                                            NetEntry& e) {
+void FeatureExtractor::load_net_topology(std::size_t n, const RsmtTree& tree,
+                                         const GcellGrid& grid) {
   const std::size_t npts = tree.points.size();
   const std::size_t cap =
       static_cast<std::size_t>(pt_base_[n + 1] - pt_base_[n]);
@@ -706,23 +438,14 @@ void FeatureExtractor::refresh_net_topology(std::size_t n,
   }
   std::int32_t* pgx = pt_gx_.data() + static_cast<std::size_t>(pt_base_[n]);
   std::int32_t* pgy = pt_gy_.data() + static_cast<std::size_t>(pt_base_[n]);
-  int bx0 = nx_ - 1, bx1 = 0, by0 = ny_ - 1, by1 = 0;
   for (std::size_t pi = 0; pi < npts; ++pi) {
     const GcellIndex g =
-        grid_.index_of(tree.points[pi].pos.x, tree.points[pi].pos.y);
+        grid.index_of(tree.points[pi].pos.x, tree.points[pi].pos.y);
     pgx[pi] = g.gx;
     pgy[pi] = g.gy;
-    bx0 = std::min(bx0, g.gx);
-    bx1 = std::max(bx1, g.gx);
-    by0 = std::min(by0, g.gy);
-    by1 = std::max(by1, g.gy);
   }
-  e.bx0 = bx0;
-  e.bx1 = bx1;
-  e.by0 = by0;
-  e.by1 = by1;
-  // CSR point -> incident segments (the cached build_incidence()). The
-  // offsets double as fill cursors, then shift back into place -- no
+  // CSR point -> incident segments (build_incidence() without the heap).
+  // The offsets double as fill cursors, then shift back into place -- no
   // per-call cursor allocation.
   std::int32_t* off =
       inc_off_.data() + static_cast<std::size_t>(inc_off_base_[n]);
@@ -744,10 +467,7 @@ void FeatureExtractor::refresh_net_topology(std::size_t n,
   // off[i] now holds end(i) == start(i+1); shift down to restore offsets.
   for (std::size_t i = npts; i >= 1; --i) off[i] = off[i - 1];
   off[0] = 0;
-  e.has_tree = true;
-  e.valid = false;
 }
-
 void FeatureExtractor::compute_pin_best(std::size_t n, const RsmtTree& tree,
                                         std::vector<std::int64_t>& seg_q) {
   const Net& net = design_.nets[n];
@@ -829,125 +549,32 @@ std::vector<FeatureVector> FeatureExtractor::extract_fast(
   const int nx = grid.nx(), ny = grid.ny();
   const std::size_t n_gcells =
       static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
+  if (pin_off_.size() != design_.nets.size() + 1) allocate_arenas();
+  nx_ = nx;
 
-  const bool state_ok = have_ && nx_ == nx && ny_ == ny &&
-                        cell_x_.size() == design_.cells.size() &&
-                        pin_gcell_.size() == design_.pins.size() &&
-                        nets_.size() == design_.nets.size();
-  if (!state_ok) allocate_state(grid);
-  const bool cadence = config_.full_rebuild_interval > 0 &&
-                       extracts_since_rebuild_ >= config_.full_rebuild_interval;
-  const bool full = !state_ok || !config_.incremental || cadence;
-
-  ++epoch_;
-  dirty_rows_.clear();
-  dirty_cols_.clear();
-
-  // Net-level delta: when the estimator's delta chain is continuous
-  // (same source, revision exactly one ahead of the last one consumed),
-  // any net not listed in dirty_nets has a tree bit-identical to the one
-  // this extractor already summarized, so its fingerprint check can be
-  // skipped outright. Computed before last_uid_/last_revision_ advance;
-  // stamped serially so the parallel loop only reads the epochs.
-  const CongestionDelta& net_delta = congestion.delta;
-  const bool net_skip = state_ok && net_delta.valid && last_uid_ != 0 &&
-                        net_delta.source_uid == last_uid_ &&
-                        net_delta.revision == last_revision_ + 1;
-  if (net_skip) {
-    for (std::int32_t dn : net_delta.dirty_nets) {
-      net_round_epoch_[static_cast<std::size_t>(dn)] = epoch_;
-    }
-  }
-
-  bool adopted = false;
-  if (!full) {
-    const std::int64_t changed = sync_incremental(congestion);
-    metrics_.dirty_gcells_total += changed;
-    metrics_.gcells_total += static_cast<std::int64_t>(n_gcells);
-    ++extracts_since_rebuild_;
-  } else {
-    const bool verify =
-        state_ok && config_.incremental && config_.verify_rebuild;
-    if (verify) sync_incremental(congestion);
-    adopted = sync_full(congestion, verify);
-    ++metrics_.full_rebuilds;
-    extracts_since_rebuild_ = 0;
-  }
-  last_uid_ = congestion.delta.source_uid;
-  last_revision_ = congestion.delta.revision;
-
-  // Query structures: re-tabulate only the rows/columns this round
-  // dirtied (all of them after an adopted rebuild); the summed-area
-  // tables are O(grid) and rebuilt every round.
-  if (adopted) {
-    mark_all_dirty();
-    rmq_.build(qcg_, nx, ny);
-  } else {
-    for (int gy : dirty_rows_) rmq_.rebuild_row(qcg_, gy);
-    for (int gx : dirty_cols_) rmq_.rebuild_col(qcg_, gx);
-  }
+  const std::int64_t pdq_total = quantize_maps(design_, maps, qcg_, pdq_);
+  rmq_.build(qcg_, nx, ny);
   sat_cg_.build(qcg_, nx, ny);
   sat_pd_.build(pdq_, nx, ny);
 
-  // Per-net fan-out: each net owns its cache slot; chunk-local counters
-  // are folded serially below so the metrics are thread-count
-  // independent too.
-  const std::size_t n_nets = design_.nets.size();
-  struct ChunkCounters {
-    std::uint64_t hits = 0, misses = 0;
-    std::int64_t reused = 0, recomputed = 0;
-  };
-  const int n_chunks =
-      par::chunk_count(static_cast<std::int64_t>(n_nets), 16, 256);
-  std::vector<ChunkCounters> counters(static_cast<std::size_t>(n_chunks));
+  // Per-net fan-out: each net writes only its own arena slots.
   par::parallel_for(
-      0, static_cast<std::int64_t>(n_nets), 16,
-      [&](std::int64_t b, std::int64_t en, int chunk) {
-        ChunkCounters& cc = counters[static_cast<std::size_t>(chunk)];
+      0, static_cast<std::int64_t>(design_.nets.size()), 16,
+      [&](std::int64_t b, std::int64_t en, int /*chunk*/) {
         std::vector<std::int64_t> seg_q;  // chunk-owned memo scratch
         for (std::int64_t i = b; i < en; ++i) {
           const std::size_t n = static_cast<std::size_t>(i);
           const RsmtTree& tree = congestion.trees[n];
-          NetEntry& entry = nets_[n];
           if (tree.segments.empty()) {
             std::fill(pin_best_flat_.begin() + pin_off_[n],
                       pin_best_flat_.begin() + pin_off_[n + 1], kNoPath);
-            entry.valid = true;
             continue;
           }
-          if (net_skip && entry.has_tree &&
-              net_round_epoch_[static_cast<std::size_t>(n)] != epoch_) {
-            // Not in the round's dirty-net list under a continuous delta
-            // chain: the tree is bit-identical to the one already
-            // summarized, no hash needed.
-            ++cc.hits;
-          } else {
-            const std::uint64_t fp = tree_fingerprint(tree);
-            if (entry.has_tree && entry.tree_fp == fp) {
-              ++cc.hits;
-            } else {
-              refresh_net_topology(static_cast<std::size_t>(n), tree, entry);
-              entry.tree_fp = fp;
-              ++cc.misses;
-            }
-          }
-          if (entry.valid && box_clean(entry)) {
-            ++cc.reused;
-            continue;
-          }
-          compute_pin_best(static_cast<std::size_t>(n), tree, seg_q);
-          entry.epoch = epoch_;
-          entry.valid = true;
-          ++cc.recomputed;
+          load_net_topology(n, tree, grid);
+          compute_pin_best(n, tree, seg_q);
         }
       },
       256);
-  for (const ChunkCounters& cc : counters) {
-    metrics_.incidence_hits += cc.hits;
-    metrics_.incidence_misses += cc.misses;
-    metrics_.nets_reused += cc.reused;
-    metrics_.nets_recomputed += cc.recomputed;
-  }
 
   // Serial in-order fold of the per-pin minima into per-cell sums: one
   // linear scan of the slot CSR (integer adds; any order would give the
@@ -963,7 +590,7 @@ std::vector<FeatureVector> FeatureExtractor::extract_fast(
   // Per-cell assembly fan-out: disjoint chunk-owned output slots, all
   // inputs read-only.
   const double mean_q =
-      static_cast<double>(pdq_total_) / static_cast<double>(n_gcells);
+      static_cast<double>(pdq_total) / static_cast<double>(n_gcells);
   const auto cg_win = [this](int x0, int x1, int y0, int y1) {
     return sat_cg_.window_sum(x0, x1, y0, y1);
   };
@@ -977,19 +604,11 @@ std::vector<FeatureVector> FeatureExtractor::extract_fast(
         for (std::int64_t i = b; i < en; ++i) {
           const CellId cid = cells[static_cast<std::size_t>(i)];
           const std::size_t ci = static_cast<std::size_t>(cid);
-          const Cell& cell = design_.cells[ci];
-          // Per-cell Gcell-range cache: range_of costs four FP divides,
-          // and in the near-converged regime most cells have not moved
-          // since the previous round. Keyed on the exact corner; chunks
-          // own disjoint cells, so the per-cell write is race-free.
-          if (cell.x != asm_x_[ci] || cell.y != asm_y_[ci]) {
-            grid.range_of(cell.rect(), cell_glo_[ci], cell_ghi_[ci]);
-            asm_x_[ci] = cell.x;
-            asm_y_[ci] = cell.y;
-          }
-          out[static_cast<std::size_t>(i)] = assemble_cell(
-              grid, cell_glo_[ci], cell_ghi_[ci], config_.kernel_gcells, qcg_,
-              pdq_, mean_q, cell_pin_q_[ci], cg_win, pd_win);
+          GcellIndex lo, hi;
+          grid.range_of(design_.cells[ci].rect(), lo, hi);
+          out[static_cast<std::size_t>(i)] =
+              assemble_cell(grid, lo, hi, config_.kernel_gcells, qcg_, pdq_,
+                            mean_q, cell_pin_q_[ci], cg_win, pd_win);
         }
       },
       256);

@@ -80,8 +80,8 @@ class PaddingEngine {
   double applied_area() const { return last_area_; }
   double peak_applied_area() const { return peak_area_; }
   const PaddingParams& params() const { return params_; }
-  // Feature-pipeline observability (extraction time, dirty fractions,
-  // cache hit rates; see PaddingStageMetrics).
+  // Feature-pipeline observability (extraction time and work counts; see
+  // PaddingStageMetrics).
   const PaddingStageMetrics& stage_metrics() const {
     return extractor_.stage_metrics();
   }

@@ -92,6 +92,13 @@ TEST(ConfigIo, PartialOverrideKeepsBase) {
 
 TEST(ConfigIo, RejectsUnknownKeyAndBadValue) {
   EXPECT_THROW(config_from_text("padding.typo = 1\n"), ConfigError);
+  // Retired knobs are unknown keys too.
+  for (const char* key : {"padding.feature_incremental",
+                          "padding.feature_rebuild_interval",
+                          "padding.feature_verify_rebuild"}) {
+    EXPECT_THROW(config_from_text(std::string(key) + " = 1\n"), ConfigError)
+        << key;
+  }
   EXPECT_THROW(config_from_text("padding.mu = banana\n"), ConfigError);
   EXPECT_THROW(config_from_text("just some words\n"), ConfigError);
 }

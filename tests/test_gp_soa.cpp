@@ -263,7 +263,10 @@ TEST_F(GpSoaTest, RasterizeBitIdenticalToLegacyAcrossThreads) {
 }
 
 TEST_F(GpSoaTest, FlowChecksumInvariantAcrossThreadsSimdAndKernelPath) {
+  // Legalization snaps cells to sites, which can hide a last-bit GP
+  // difference, so the post-GP HPWL is compared bitwise as well.
   std::uint64_t ref = 0;
+  double ref_hpwl_gp = 0.0;
   bool have_ref = false;
   for (const int threads : {1, 2, 8}) {
     par::set_num_threads(threads);
@@ -271,13 +274,16 @@ TEST_F(GpSoaTest, FlowChecksumInvariantAcrossThreadsSimdAndKernelPath) {
       simd::set_enabled(simd_on);
       Design d = generate_synthetic(small_spec());
       PufferFlow flow(d, small_flow_config());
-      flow.run();
+      const double hpwl_gp = flow.run().hpwl_gp;
       const std::uint64_t sum = placement_checksum(d);
       if (!have_ref) {
         ref = sum;
+        ref_hpwl_gp = hpwl_gp;
         have_ref = true;
       }
       EXPECT_EQ(sum, ref) << "threads=" << threads << " simd=" << simd_on;
+      EXPECT_EQ(std::memcmp(&hpwl_gp, &ref_hpwl_gp, sizeof hpwl_gp), 0)
+          << "threads=" << threads << " simd=" << simd_on;
     }
   }
   // The retired scalar path reproduces the same final placement.
@@ -287,8 +293,9 @@ TEST_F(GpSoaTest, FlowChecksumInvariantAcrossThreadsSimdAndKernelPath) {
   PufferConfig cfg = small_flow_config();
   cfg.gp.legacy_kernels = true;
   PufferFlow flow(d, cfg);
-  flow.run();
+  const double hpwl_gp = flow.run().hpwl_gp;
   EXPECT_EQ(placement_checksum(d), ref);
+  EXPECT_EQ(std::memcmp(&hpwl_gp, &ref_hpwl_gp, sizeof hpwl_gp), 0);
 }
 
 // Checks the four DctPlan2D transforms of `data` (and two aliased ones)

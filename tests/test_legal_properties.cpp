@@ -1,8 +1,7 @@
-// Tests for the deterministic parallel + incremental legalizer and the
-// batched detailed placer: the large-coordinate regression the integer
-// site-unit arithmetic fixes, config validation, zero-area cells, the
-// randomized legality property suite, and bitwise identity of the
-// incremental ledger path against from-scratch runs across thread counts.
+// Tests for the deterministic parallel legalizer and the batched detailed
+// placer: the large-coordinate regression the integer site-unit
+// arithmetic fixes, config validation, zero-area cells, the randomized
+// legality property suite, and bitwise identity across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,17 +69,13 @@ TEST(LegalConfig, ValidationThrowsAndClamps) {
   LegalizeConfig bad;
   bad.max_row_search = 0;
   EXPECT_THROW(validate_legalize_config(bad), std::invalid_argument);
-  EXPECT_THROW(IncrementalLegalizer{bad}, std::invalid_argument);
-  LegalizeConfig nan_frac;
-  nan_frac.max_dirty_frac = std::nan("");
-  EXPECT_THROW(validate_legalize_config(nan_frac), std::invalid_argument);
+  bad.max_row_search = -5;
+  EXPECT_THROW(validate_legalize_config(bad), std::invalid_argument);
 
-  LegalizeConfig fixable;
-  fixable.full_rebuild_interval = -3;
-  fixable.max_dirty_frac = 7.0;
-  const LegalizeConfig fixed = validate_legalize_config(fixable);
-  EXPECT_EQ(fixed.full_rebuild_interval, 1);
-  EXPECT_DOUBLE_EQ(fixed.max_dirty_frac, 1.0);
+  // A usable config passes through unchanged.
+  LegalizeConfig good;
+  good.max_row_search = 3;
+  EXPECT_EQ(validate_legalize_config(good).max_row_search, 3);
 
   Design d = offset_design(0.0, 1.0, 64, 2);
   add_cell(d, 3.0, 0.0, 2.0);
@@ -228,96 +223,6 @@ std::uint64_t position_bits_checksum(const Design& d) {
     }
   }
   return h;
-}
-
-// Localized perturbation of the movable cells inside one window.
-void perturb(Design& d, Rng& rng) {
-  const double ww = (d.die.xhi - d.die.xlo) * 0.35;
-  const double wh = (d.die.yhi - d.die.ylo) * 0.35;
-  const double wx = rng.uniform(d.die.xlo, d.die.xhi - ww);
-  const double wy = rng.uniform(d.die.ylo, d.die.yhi - wh);
-  for (Cell& c : d.cells) {
-    if (!c.movable()) continue;
-    if (c.x < wx || c.x > wx + ww || c.y < wy || c.y > wy + wh) continue;
-    c.x = clamp(c.x + rng.uniform(-6.0, 6.0), d.die.xlo, d.die.xhi - c.width);
-    c.y = clamp(c.y + rng.uniform(-9.0, 9.0), d.die.ylo, d.die.yhi - c.height);
-  }
-}
-
-// The ledger path must be bitwise identical to a from-scratch run on the
-// same inputs, for every thread count, with zero drift detected by the
-// periodic verified rebuild.
-TEST(LegalIncremental, BitIdenticalToFullAcrossThreads) {
-  ThreadGuard guard;
-  const int kRounds = 7;
-  const int threads[] = {1, 2, 8};
-  std::vector<std::uint64_t> checksums;
-
-  for (int t = 0; t < 3; ++t) {
-    par::set_num_threads(threads[t]);
-    Design d_incr = random_design(123);
-    Design d_full = random_design(123);
-    const std::vector<int> pads = random_pads(d_incr, 5);
-    LegalizeConfig cfg;
-    cfg.full_rebuild_interval = 3;  // exercise the verified rebuild
-    IncrementalLegalizer ledger(cfg);
-    Rng rng_incr(99), rng_full(99);
-    std::uint64_t fold = 1469598103934665603ull;
-    int incremental_rounds = 0;
-    for (int round = 0; round < kRounds; ++round) {
-      if (round > 0) {
-        perturb(d_incr, rng_incr);
-        perturb(d_full, rng_full);
-      }
-      const LegalizeResult ri = ledger.legalize(d_incr, pads);
-      const LegalizeResult rf = legalize(d_full, pads, cfg);
-      ASSERT_EQ(ri.failed_cells, rf.failed_cells);
-      if (ri.incremental) ++incremental_rounds;
-      for (std::size_t i = 0; i < d_incr.cells.size(); ++i) {
-        ASSERT_EQ(std::memcmp(&d_incr.cells[i].x, &d_full.cells[i].x,
-                              sizeof(double)),
-                  0)
-            << "round " << round << " cell " << i;
-        ASSERT_EQ(std::memcmp(&d_incr.cells[i].y, &d_full.cells[i].y,
-                              sizeof(double)),
-                  0)
-            << "round " << round << " cell " << i;
-      }
-      fold ^= position_bits_checksum(d_incr) + 0x9e3779b97f4a7c15ull +
-              (fold << 6) + (fold >> 2);
-    }
-    EXPECT_GT(incremental_rounds, 0) << "ledger path never exercised";
-    EXPECT_GT(ledger.stats().verified_rebuilds, 0);
-    EXPECT_EQ(ledger.stats().drift_count, 0u);
-    EXPECT_GT(ledger.stats().replayed_cells, 0);
-    checksums.push_back(fold);
-  }
-  EXPECT_EQ(checksums[0], checksums[1]);
-  EXPECT_EQ(checksums[1], checksums[2]);
-}
-
-// Structural changes (cell count, macro moves) must invalidate the
-// ledger key and force a safe full rebuild.
-TEST(LegalIncremental, StructureChangeForcesFullRun) {
-  Design d = random_design(7);
-  IncrementalLegalizer ledger;
-  const LegalizeResult r1 = ledger.legalize(d);
-  EXPECT_FALSE(r1.incremental);
-  // legalize() writes positions back, so the next call's inputs differ
-  // from the recorded snapshot almost everywhere -> full run again.
-  ledger.legalize(d);
-  // Legalizing an already-legal placement is a fixpoint, so from here on
-  // the ledger replays.
-  const LegalizeResult r2 = ledger.legalize(d);
-  EXPECT_TRUE(r2.incremental);
-  add_cell(d, 40.0, 40.0, 3.0);
-  const LegalizeResult r3 = ledger.legalize(d);
-  EXPECT_FALSE(r3.incremental);  // key changed -> from scratch
-  EXPECT_TRUE(r3.success);
-  // invalidate() drops the ledger explicitly.
-  ledger.invalidate();
-  const LegalizeResult r4 = ledger.legalize(d);
-  EXPECT_FALSE(r4.incremental);
 }
 
 // Batched detailed placement is bit-identical for any thread count.

@@ -92,8 +92,6 @@ TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
   snap.padding = {0.0, 0.5, 0.0};
   snap.rng_key = 33;
   snap.rng_counter = 44;
-  snap.congestion_fingerprint = 55;
-  snap.ledger_blob = "opaque-bytes";
 
   const std::string bytes = encode_snapshot(snap);
   const FlowSnapshot back = decode_snapshot(bytes);
@@ -105,8 +103,6 @@ TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
   EXPECT_EQ(back.padding, snap.padding);
   EXPECT_EQ(back.rng_key, snap.rng_key);
   EXPECT_EQ(back.rng_counter, snap.rng_counter);
-  EXPECT_EQ(back.congestion_fingerprint, snap.congestion_fingerprint);
-  EXPECT_EQ(back.ledger_blob, snap.ledger_blob);
 
   // A single flipped byte must fail the checksum trailer.
   std::string corrupt = bytes;
@@ -115,6 +111,23 @@ TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
   // Truncation must fail too.
   const std::string truncated = bytes.substr(0, bytes.size() - 5);
   EXPECT_THROW(decode_snapshot(truncated), CheckpointError);
+  // Bytes after the checksum trailer are rejected.
+  EXPECT_THROW(decode_snapshot(bytes + "x"), CheckpointError);
+  // So is a body the decoder does not consume to the end, even when its
+  // size prefix and checksum cover the extra bytes.
+  BinaryReader header(bytes);
+  const std::uint32_t magic = header.get_u32();
+  const std::uint32_t version = header.get_u32();
+  const std::uint64_t body_size = header.get_u64();
+  const std::string body =
+      bytes.substr(header.pos(), static_cast<std::size_t>(body_size)) + "junk";
+  BinaryWriter padded;
+  padded.put_u32(magic);
+  padded.put_u32(version);
+  padded.put_u64(body.size());
+  padded.put_bytes(body.data(), body.size());
+  padded.put_u64(fnv1a_bytes(body.data(), body.size()));
+  EXPECT_THROW(decode_snapshot(padded.buffer()), CheckpointError);
 
   EXPECT_THROW(load_snapshot("/nonexistent/dir/prefix.ckpt"), CheckpointError);
 }
@@ -141,7 +154,6 @@ TEST_F(OrchestrateTest, CheckpointRoundTripBitIdentical) {
     EXPECT_EQ(loaded.x, snap.x);
     EXPECT_EQ(loaded.y, snap.y);
     EXPECT_EQ(loaded.rng_key, snap.rng_key);
-    EXPECT_EQ(loaded.ledger_blob, snap.ledger_blob);
 
     // Fresh design (generator positions, no initial_place), fresh flow:
     // the restore path must reproduce the continuation exactly.
