@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Perf-smoke gate for the SoA global-placement core and the padding
-# feature pipeline.
+# Perf-smoke gate for the SoA global-placement core, the padding feature
+# pipeline, the evaluation router and legalization.
 #
-# Runs bench_parallel_hotpaths and bench_padding_features at a small
-# PUFFER_SCALE and checks the determinism evidence they emit:
+# Runs bench_parallel_hotpaths, bench_padding_features, bench_router and
+# bench_legalization at a small PUFFER_SCALE and checks the determinism
+# evidence they emit:
 #
-#   1. bit_identical must be "yes" in both -- the final placement (and
-#      feature) checksums agree across PUFFER_THREADS 1/2/8, with
-#      PUFFER_SIMD off, with the legacy scalar GP kernels, and across the
-#      padding extractors (fast, legacy oracle), all within this run
-#      (machine-independent).
+#   1. bit_identical must be "yes" in each -- the final placement (and
+#      feature, routed-demand) checksums agree across PUFFER_THREADS
+#      1/2/8, with PUFFER_SIMD off, with the legacy scalar GP kernels, and
+#      across the padding extractors (fast, legacy oracle), all within
+#      this run (machine-independent).
 #   2. Every checksum_* field must equal the committed reference, so a
 #      placement-changing regression cannot land silently even if it
 #      changes all configurations consistently. The reference is tied to
@@ -17,15 +18,13 @@
 #      bits legitimately. After an intentional numeric change, or a
 #      toolchain bump, regenerate with:
 #
-#        PUFFER_SCALE=512 PUFFER_THREADS=8 ./build/bench/bench_parallel_hotpaths
-#        PUFFER_SCALE=512 PUFFER_THREADS=8 ./build/bench/bench_padding_features
-#        { echo "== parallel_hotpaths =="
-#          grep -E '"(checksum_|bit_identical)' \
-#              bench_results/BENCH_parallel_hotpaths.json
-#          echo "== padding_features =="
-#          grep -E '"(checksum_|bit_identical)' \
-#              bench_results/BENCH_padding_features.json
-#        } > bench_results/REFERENCE_perf_smoke_checksums.txt
+#        for b in parallel_hotpaths padding_features router legalization; do
+#          PUFFER_SCALE=512 PUFFER_THREADS=8 ./build/bench/bench_$b
+#        done
+#        for b in parallel_hotpaths padding_features router legalization; do
+#          echo "== $b =="
+#          grep -E '"(checksum_|bit_identical)' bench_results/BENCH_$b.json
+#        done > bench_results/REFERENCE_perf_smoke_checksums.txt
 #
 # Timings in the JSON are informational at smoke scale (CI machines are
 # noisy); the full-scale numbers live in the committed BENCH_*.json.
@@ -36,7 +35,7 @@ set -euo pipefail
 BUILD_DIR="${BUILD_DIR:-build}"
 SCALE="${PUFFER_SCALE:-512}"
 REF="bench_results/REFERENCE_perf_smoke_checksums.txt"
-BENCHES=(parallel_hotpaths padding_features)
+BENCHES=(parallel_hotpaths padding_features router legalization)
 
 for name in "${BENCHES[@]}"; do
   if [ ! -x "$BUILD_DIR/bench/bench_$name" ]; then

@@ -12,9 +12,7 @@ CongestionEstimator::CongestionEstimator(const Design& design,
       config_(config),
       grid_(GcellGrid::from_row_pitch(design.die, design.tech.row_height,
                                       config.rows_per_gcell)),
-      capacity_(build_capacity_maps(design, grid_)),
-      cache_(design.nets.size(), config.cache_quantum,
-             config.enable_rsmt_cache) {}
+      capacity_(build_capacity_maps(design, grid_)) {}
 
 namespace {
 
@@ -197,7 +195,8 @@ CongestionResult CongestionEstimator::estimate() const {
   Map2D<double>& dmd_v = result.maps.dmd_v;
 
   // Trees and spans, parallel per net: each net writes only its own
-  // slots, and unchanged nets are served from the topology cache.
+  // slots. Every estimate builds every tree: GP moves every cell between
+  // padding rounds, so there is nothing to reuse.
   const std::size_t n_nets = design_.nets.size();
   result.trees.resize(n_nets);
   std::vector<std::vector<DemandSpan>> spans(n_nets);
@@ -213,7 +212,7 @@ CongestionResult CongestionEstimator::estimate() const {
           for (PinId pid : net.pins) {
             pin_pts.push_back(design_.pin_position(pid));
           }
-          result.trees[ni] = cache_.get_or_build(ni, pin_pts);
+          result.trees[ni] = build_rsmt(pin_pts);
           spans_of(grid_, result.trees[ni], spans[ni]);
         }
       },

@@ -28,7 +28,6 @@
 #include "grid/routing_maps.h"
 #include "netlist/design.h"
 #include "rsmt/rsmt.h"
-#include "rsmt/rsmt_cache.h"
 
 namespace puffer {
 
@@ -46,10 +45,6 @@ struct CongestionConfig {
   // strategy exploration may raise it for padding features too).
   double pins_per_site = 2.0;
   double pin_crowding = 0.0;
-  // RSMT topology cache: nets whose quantized pin positions are unchanged
-  // since the previous estimate() reuse their tree (see rsmt_cache.h).
-  bool enable_rsmt_cache = true;
-  double cache_quantum = 1e-3;
   // Detour expansion: search radius in Gcells and on/off switch (the
   // estimation-accuracy ablation toggles this).
   int expand_radius = 4;
@@ -100,18 +95,11 @@ class CongestionEstimator {
   // Pin-access capacity of one Gcell under the crowding model.
   double gcell_pin_capacity() const;
 
-  // Topology-cache statistics (accumulated across estimate() calls).
-  const RsmtCache& tree_cache() const { return cache_; }
-  RsmtCache& tree_cache() { return cache_; }
-
  private:
   const Design& design_;
   CongestionConfig config_;
   GcellGrid grid_;
   CapacityMaps capacity_;  // capacity depends only on fixed blockages
-  // Per-net memo of RSMT topologies; estimate() is logically const, the
-  // cache is a pure performance artifact.
-  mutable RsmtCache cache_;
 };
 
 }  // namespace puffer

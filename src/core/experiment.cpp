@@ -25,10 +25,7 @@ ExperimentResult run_experiment(Design& design, PlacerKind kind,
     case PlacerKind::kPuffer: {
       PufferFlow flow(design, config.puffer);
       result.flow = flow.run();
-      // Warm evaluation: the router reuses the flow's RSMT topology cache
-      // for nets legalization left (quantized-)unmoved.
-      result.route =
-          evaluate_routability(design, config.eval_router, flow.estimator());
+      result.route = evaluate_routability(design, config.eval_router);
       break;
     }
     case PlacerKind::kReplaceRc:

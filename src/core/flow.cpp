@@ -117,8 +117,8 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
   // identically for an in-memory and an on-disk snapshot.
   EPlaceEngine engine(design_, config_.gp);
   PaddingEngine padder(design_, engine.movable_cells(), config_.padding);
-  // One estimator for all padding rounds: its topology cache carries
-  // over and outlives run() for the warm evaluation router.
+  // One estimator for all padding rounds: grid and capacity maps are
+  // built once, every tree is rebuilt by each estimate().
   estimator_ = std::make_unique<CongestionEstimator>(design_, config_.congestion);
   if (snapshot != nullptr && !snapshot->padding.empty()) {
     ScopedStageTimer t(metrics.stages, "restore");
@@ -186,7 +186,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
     // holds the mid-flow positions; the orchestrator only reads the
     // per-round overflow trail and the deterministic penalty loss.
     metrics.runtime_s = total.elapsed_seconds();
-    metrics.rsmt_cache_hit_rate = estimator_->tree_cache().hit_rate();
     metrics.padding_stage = padder.stage_metrics();
     PUFFER_LOG_INFO(kTag, "flow stopped by progress hook at round %d", round);
     return metrics;
@@ -227,7 +226,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
   metrics.hpwl_legal = design_.total_hpwl();
   metrics.legality = check_legality(design_);
   metrics.runtime_s = total.elapsed_seconds();
-  metrics.rsmt_cache_hit_rate = estimator_->tree_cache().hit_rate();
   metrics.padding_stage = padder.stage_metrics();
   PUFFER_LOG_INFO(kTag, "flow done in %.1fs: hpwl %.4g -> %.4g, %s",
                   metrics.runtime_s, metrics.hpwl_gp, metrics.hpwl_legal,
@@ -249,10 +247,9 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
   }
   if (metrics.estimation.calls > 0) {
     PUFFER_LOG_INFO(kTag,
-                    "estimation: %d calls in %.3fs, rsmt cache hit %.0f%%; "
+                    "estimation: %d calls in %.3fs; "
                     "padding features: %d extracts in %.3fs",
                     metrics.estimation.calls, metrics.estimation.full_time_s,
-                    100.0 * metrics.rsmt_cache_hit_rate,
                     metrics.padding_stage.extracts,
                     metrics.padding_stage.feature_time_s);
   }
@@ -261,9 +258,8 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
 
 RouteResult evaluate_routability(const Design& design,
                                  const RouterConfig& config,
-                                 CongestionEstimator* warm) {
-  GlobalRouter router(design, config,
-                      warm ? &warm->tree_cache() : nullptr);
+                                 CongestionEstimator* /*unused*/) {
+  GlobalRouter router(design, config);
   return router.route();
 }
 

@@ -91,9 +91,11 @@ struct FlowMetrics {
   double runtime_s = 0.0;
   StageTimes stages;
   LegalityReport legality;
-  // Estimation observability accumulated over the padding rounds, plus
-  // the RSMT topology-cache hit rate.
+  // Estimation observability accumulated over the padding rounds.
   IncrementalStats estimation;
+  // Always 0: every estimate builds every tree and nothing memoizes them.
+  // Kept only because the end-to-end benchmark (perfbench/) still reads
+  // it as `rsmt.cache_hit_rate`.
   double rsmt_cache_hit_rate = 0.0;
   // Padding feature-pipeline observability: extraction wall time and work
   // counts (see padding/features.h).
@@ -175,8 +177,9 @@ class PufferFlow {
   std::uint64_t prefix_key(double fork_overflow) const;
 
   // The flow's congestion estimator (valid after run(); null before).
-  // Exposed so the evaluation router can warm-start from the flow's RSMT
-  // topology cache instead of rebuilding every net's tree.
+  // Nothing in the library needs it after the flow; it stays only because
+  // the end-to-end benchmark (perfbench/) passes it to
+  // evaluate_routability, which ignores it.
   CongestionEstimator* estimator() { return estimator_.get(); }
 
   // Installs the per-round telemetry/cancellation observer, invoked at
@@ -194,17 +197,18 @@ class PufferFlow {
   Design& design_;
   PufferConfig config_;
   ProgressHook progress_hook_;
-  // Owned by the flow so the topology cache persists across padding
-  // rounds (and outlives run() for warm evaluation).
+  // One estimator for all padding rounds of the last run (grid and
+  // capacity maps are built once); see estimator().
   std::unique_ptr<CongestionEstimator> estimator_;
 };
 
-// Runs the evaluation router on the design's current placement. `warm`
-// (optional) shares the flow estimator's RSMT topology cache with the
-// router, skipping tree construction for nets unmoved since the last
-// estimate.
+// Runs the evaluation router on the design's current placement; the
+// router builds every net's tree itself. The third parameter is accepted
+// and ignored: legalization moves every cell after the flow's last
+// estimate, so no estimator tree can be reused. It stays only because the
+// end-to-end benchmark (perfbench/) still passes PufferFlow::estimator().
 RouteResult evaluate_routability(const Design& design,
                                  const RouterConfig& config = {},
-                                 CongestionEstimator* warm = nullptr);
+                                 CongestionEstimator* unused = nullptr);
 
 }  // namespace puffer

@@ -1,6 +1,7 @@
 #include "io/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -210,6 +211,20 @@ std::string read_file(const std::string& path) {
   return data;
 }
 
+void ensure_dir(const std::string& path) {
+  if (path.empty()) return;
+  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
+  if (errno == ENOENT) {
+    const std::size_t slash = path.find_last_of('/');
+    if (slash != std::string::npos && slash > 0) {
+      ensure_dir(path.substr(0, slash));
+      if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
+    }
+  }
+  throw CheckpointError("cannot create directory " + path + ": " +
+                        std::strerror(errno));
+}
+
 // --- stream-backed frame I/O ---------------------------------------------
 
 namespace {
@@ -265,70 +280,79 @@ void write_frame_fd(int fd, std::uint32_t type, const std::string& body) {
   write_all(fd, bytes.data(), bytes.size());
 }
 
+namespace {
+
+constexpr std::size_t kFrameHeader = 20;  // magic, version, type, body size
+constexpr std::size_t kFrameTrailer = 8;  // fnv1a(body)
+
+// Little-endian unsigned integer of `bytes` bytes at p.
+std::uint64_t le_at(const char* p, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+struct FrameHeader {
+  std::uint32_t type = 0;
+  std::uint64_t body_size = 0;
+};
+
+// The PUFM header check shared by read_frame_fd and FrameBuffer::next:
+// magic, wire version and body-size limit of the kFrameHeader bytes at p.
+FrameHeader check_frame_header(const char* p) {
+  if (le_at(p, 4) != kFrameMagic) {
+    throw CheckpointError("frame: bad magic (stream out of sync)");
+  }
+  const std::uint64_t version = le_at(p + 4, 4);
+  if (version != kWireVersion) {
+    throw CheckpointError("frame: unsupported wire version " +
+                          std::to_string(version));
+  }
+  FrameHeader h;
+  h.type = static_cast<std::uint32_t>(le_at(p + 8, 4));
+  h.body_size = le_at(p + 12, 8);
+  if (h.body_size > kMaxFrameBody) {
+    throw CheckpointError("frame: body size " + std::to_string(h.body_size) +
+                          " exceeds limit (corrupt length prefix?)");
+  }
+  return h;
+}
+
+// The trailer check shared by both readers: the kFrameTrailer bytes after
+// the n-byte body at p must be the body's FNV-1a.
+void check_frame_trailer(const char* p, std::size_t n) {
+  if (le_at(p + n, 8) != fnv1a_bytes(p, n)) {
+    throw CheckpointError("frame: body checksum mismatch");
+  }
+}
+
+}  // namespace
+
 bool read_frame_fd(int fd, WireFrame* out) {
-  // Header: magic, version, type, body size.
-  char header[20];
+  char header[kFrameHeader];
   const std::size_t got = read_exact(fd, header, sizeof(header));
   if (got == 0) return false;  // clean EOF between frames
   if (got < sizeof(header)) {
     throw CheckpointError("frame: truncated header (" + std::to_string(got) +
                           " of " + std::to_string(sizeof(header)) + " bytes)");
   }
-  // BinaryReader wants an owning std::string; decode the fixed-size
-  // header in place instead.
-  const auto u32_at = [&](int off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(header[off + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const auto u64_at = [&](int off) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(header[off + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  if (u32_at(0) != kFrameMagic) {
-    throw CheckpointError("frame: bad magic (stream out of sync)");
+  const FrameHeader h = check_frame_header(header);
+  const std::size_t body_size = static_cast<std::size_t>(h.body_size);
+  // Body and trailer in one read; the body is the prefix of `rest`.
+  std::string rest(body_size + kFrameTrailer, '\0');
+  const std::size_t got_rest = read_exact(fd, rest.data(), rest.size());
+  if (got_rest < rest.size()) {
+    throw CheckpointError(got_rest < body_size
+                              ? "frame: truncated body"
+                              : "frame: truncated checksum trailer");
   }
-  const std::uint32_t version = u32_at(4);
-  if (version != kWireVersion) {
-    throw CheckpointError("frame: unsupported wire version " +
-                          std::to_string(version));
-  }
-  const std::uint32_t type = u32_at(8);
-  const std::uint64_t body_size = u64_at(12);
-  if (body_size > kMaxFrameBody) {
-    throw CheckpointError("frame: body size " + std::to_string(body_size) +
-                          " exceeds limit (corrupt length prefix?)");
-  }
-
-  std::string body(static_cast<std::size_t>(body_size), '\0');
-  if (body_size > 0 &&
-      read_exact(fd, body.data(), body.size()) != body.size()) {
-    throw CheckpointError("frame: truncated body");
-  }
-  char trailer[8];
-  if (read_exact(fd, trailer, sizeof(trailer)) != sizeof(trailer)) {
-    throw CheckpointError("frame: truncated checksum trailer");
-  }
-  std::uint64_t want = 0;
-  for (int i = 0; i < 8; ++i) {
-    want |= static_cast<std::uint64_t>(static_cast<unsigned char>(trailer[i]))
-            << (8 * i);
-  }
-  const std::uint64_t got_sum = fnv1a_bytes(body.data(), body.size());
-  if (want != got_sum) {
-    throw CheckpointError("frame: body checksum mismatch");
-  }
-  out->type = type;
-  out->body = std::move(body);
+  check_frame_trailer(rest.data(), body_size);
+  rest.resize(body_size);
+  out->type = h.type;
+  out->body = std::move(rest);
   return true;
 }
 
@@ -342,53 +366,15 @@ void FrameBuffer::append(const char* data, std::size_t n) {
 }
 
 bool FrameBuffer::next(WireFrame* out) {
-  constexpr std::size_t kHeader = 20;  // magic, version, type, body size
-  if (buffered() < kHeader) return false;
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(buf_.data()) + pos_;
-  const auto u32_at = [&](int off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p[off + i]) << (8 * i);
-    }
-    return v;
-  };
-  const auto u64_at = [&](int off) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p[off + i]) << (8 * i);
-    }
-    return v;
-  };
-  if (u32_at(0) != kFrameMagic) {
-    throw CheckpointError("frame: bad magic (stream out of sync)");
-  }
-  const std::uint32_t version = u32_at(4);
-  if (version != kWireVersion) {
-    throw CheckpointError("frame: unsupported wire version " +
-                          std::to_string(version));
-  }
-  const std::uint64_t body_size = u64_at(12);
-  if (body_size > kMaxFrameBody) {
-    throw CheckpointError("frame: body size " + std::to_string(body_size) +
-                          " exceeds limit (corrupt length prefix?)");
-  }
-  const std::size_t total =
-      kHeader + static_cast<std::size_t>(body_size) + 8;
+  if (buffered() < kFrameHeader) return false;
+  const char* p = buf_.data() + pos_;
+  const FrameHeader h = check_frame_header(p);
+  const std::size_t body_size = static_cast<std::size_t>(h.body_size);
+  const std::size_t total = kFrameHeader + body_size + kFrameTrailer;
   if (buffered() < total) return false;
-  std::string body(buf_, pos_ + kHeader, static_cast<std::size_t>(body_size));
-  std::uint64_t want = 0;
-  {
-    const unsigned char* t = p + kHeader + body_size;
-    for (int i = 0; i < 8; ++i) {
-      want |= static_cast<std::uint64_t>(t[i]) << (8 * i);
-    }
-  }
-  if (want != fnv1a_bytes(body.data(), body.size())) {
-    throw CheckpointError("frame: body checksum mismatch");
-  }
-  out->type = u32_at(8);
-  out->body = std::move(body);
+  check_frame_trailer(p + kFrameHeader, body_size);
+  out->type = h.type;
+  out->body.assign(p + kFrameHeader, body_size);
   pos_ += total;
   return true;
 }

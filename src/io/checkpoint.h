@@ -92,6 +92,10 @@ void atomic_write_file(const std::string& path, const std::string& data);
 // Reads a whole file; throws CheckpointError when unreadable.
 std::string read_file(const std::string& path);
 
+// mkdir -p (relative or absolute; an empty path is a no-op). Throws
+// CheckpointError when a directory cannot be created.
+void ensure_dir(const std::string& path);
+
 // --- stream-backed frame I/O ---------------------------------------------
 // Length-prefixed binary frames over an arbitrary byte stream (socket,
 // pipe, ...): the same codec + FNV-1a integrity story as the checkpoint

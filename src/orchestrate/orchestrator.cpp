@@ -1,12 +1,8 @@
 #include "orchestrate/orchestrator.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -25,21 +21,6 @@ namespace puffer {
 namespace {
 
 constexpr const char* kTag = "orchestrate";
-
-// mkdir -p for the checkpoint directory (relative or absolute).
-void ensure_dir(const std::string& path) {
-  if (path.empty()) return;
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-  if (errno == ENOENT) {
-    const std::size_t slash = path.find_last_of('/');
-    if (slash != std::string::npos && slash > 0) {
-      ensure_dir(path.substr(0, slash));
-      if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-    }
-  }
-  throw CheckpointError("cannot create directory " + path + ": " +
-                        std::strerror(errno));
-}
 
 }  // namespace
 
@@ -161,9 +142,8 @@ OrchestrationResult TrialOrchestrator::run(TrialExecutor& executor) {
   result.best_loss = std::numeric_limits<double>::max();
 
   // One flow instance serves the whole orchestration: it computes the
-  // prefix key, runs the shared prefix, and keeps the warm RSMT cache.
-  // Sessions never touch it (each builds its own flow on a private
-  // design copy).
+  // prefix key and runs the shared prefix. Sessions never touch it (each
+  // builds its own flow on a private design copy).
   PufferFlow prefix_flow(design_, base_.puffer);
   const std::uint64_t dkey = design_structure_key(design_);
   const std::uint64_t pkey = prefix_flow.prefix_key(config_.fork_overflow);

@@ -58,8 +58,7 @@ TrialResult run_trial_session(const Design& base_design,
     result.loss = pruner->penalty_loss(prune_value);
     result.checksum = 0;
   } else {
-    result.route =
-        evaluate_routability(design, cfg.eval_router, flow.estimator());
+    result.route = evaluate_routability(design, cfg.eval_router);
     result.flow.router.route_time_s = result.route.route_time_s;
     result.flow.router.rrr_time_s = result.route.rrr_time_s;
     result.flow.router.segments = result.route.segments;

@@ -1,13 +1,8 @@
 #include "orchestrate/trial_journal.h"
 
-#include <unistd.h>
-
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#include "io/checkpoint.h"
-#include "io/jsonl.h"
 
 namespace puffer {
 namespace {
@@ -20,6 +15,7 @@ using jsonl::get_hex;
 using jsonl::get_int;
 using jsonl::get_string;
 using jsonl::hex_u64;
+using jsonl::sanitize;
 
 // Parses "rounds":["<hex>","<hex>",...] (possibly empty).
 bool get_rounds(const std::string& line, std::vector<double>* out) {
@@ -49,32 +45,10 @@ bool get_rounds(const std::string& line, std::vector<double>* out) {
 
 }  // namespace
 
-TrialJournal::TrialJournal(const std::string& path) : path_(path) {
-  file_ = std::fopen(path.c_str(), "ab");
-  if (!file_) {
-    throw CheckpointError("journal: cannot open " + path + ": " +
-                          std::strerror(errno));
-  }
-  fd_ = ::fileno(file_);
-}
+TrialJournal::TrialJournal(const std::string& path)
+    : log_(path, "journal") {}
 
-TrialJournal::~TrialJournal() {
-  if (file_) std::fclose(file_);
-}
-
-void TrialJournal::append(const JournalRecord& rec) {
-  const std::string line = encode(rec) + "\n";
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    throw CheckpointError("journal: short write to " + path_);
-  }
-  if (std::fflush(file_) != 0) {
-    throw CheckpointError("journal: flush failed for " + path_);
-  }
-  if (fd_ >= 0 && ::fsync(fd_) != 0) {
-    throw CheckpointError("journal: fsync failed for " + path_ + ": " +
-                          std::strerror(errno));
-  }
-}
+void TrialJournal::append(const JournalRecord& rec) { log_.append(encode(rec)); }
 
 std::string TrialJournal::encode(const JournalRecord& rec) {
   char buf[256];
@@ -92,7 +66,7 @@ std::string TrialJournal::encode(const JournalRecord& rec) {
       s = buf;
       break;
     case JournalRecord::Type::kCheckpoint:
-      s = "{\"type\":\"checkpoint\",\"path\":\"" + rec.path +
+      s = "{\"type\":\"checkpoint\",\"path\":\"" + sanitize(rec.path) +
           "\",\"prefix_key\":\"" + hex_u64(rec.prefix_key) + "\"}";
       break;
     case JournalRecord::Type::kTrialStart:
@@ -185,28 +159,7 @@ bool TrialJournal::decode(const std::string& line, JournalRecord* out) {
 }
 
 std::vector<JournalRecord> TrialJournal::load(const std::string& path) {
-  std::vector<JournalRecord> records;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return records;
-  std::string data;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
-
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    std::size_t nl = data.find('\n', pos);
-    const bool torn = nl == std::string::npos;
-    const std::string line =
-        torn ? data.substr(pos) : data.substr(pos, nl - pos);
-    JournalRecord rec;
-    if (!decode(line, &rec)) break;  // torn/corrupt: drop this and the rest
-    records.push_back(std::move(rec));
-    if (torn) break;
-    pos = nl + 1;
-  }
-  return records;
+  return jsonl::load_lines(path, &TrialJournal::decode);
 }
 
 }  // namespace puffer

@@ -16,6 +16,7 @@
 // Record schema (see docs/architecture.md for the full field tables):
 //   {"type":"header","version":1,"design_key":"..hex..", ...}
 //   {"type":"checkpoint","path":"...","prefix_key":"..hex.."}
+//     (path through jsonl::sanitize: informational, resume recomputes it)
 //   {"type":"trial_start","trial":N,"akey":"..hex.."}
 //   {"type":"trial_complete","trial":N,"akey":"..hex..",
 //    "loss_bits":"..hex..","pruned":0,"prune_round":-1,
@@ -25,9 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
+
+#include "io/jsonl.h"
 
 namespace puffer {
 
@@ -72,15 +74,12 @@ class TrialJournal {
   // Opens `path` for appending (created when missing); throws
   // CheckpointError when the file cannot be opened.
   explicit TrialJournal(const std::string& path);
-  ~TrialJournal();
-  TrialJournal(const TrialJournal&) = delete;
-  TrialJournal& operator=(const TrialJournal&) = delete;
 
   // Serializes, appends one line, flushes and fsyncs. Throws
   // CheckpointError on I/O failure.
   void append(const JournalRecord& rec);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
   // One-record codec (exposed for tests).
   static std::string encode(const JournalRecord& rec);
@@ -93,9 +92,7 @@ class TrialJournal {
   static std::vector<JournalRecord> load(const std::string& path);
 
  private:
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  int fd_ = -1;
+  jsonl::Appender log_;
 };
 
 }  // namespace puffer

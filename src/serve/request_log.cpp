@@ -1,16 +1,10 @@
 #include "serve/request_log.h"
 
-#include <unistd.h>
-
 #include <cerrno>
 #include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <unordered_map>
-
-#include "io/checkpoint.h"
-#include "io/jsonl.h"
 
 namespace puffer {
 namespace {
@@ -24,50 +18,20 @@ using jsonl::get_hex;
 using jsonl::get_int;
 using jsonl::get_string;
 using jsonl::hex_u64;
-
-// Session labels and failure messages go through the log as JSON string
-// values; anything that would break the flat-line format is replaced.
-std::string sanitize(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '"' || c == '\\' || c == '\n' || c == '\r') c = '_';
-  }
-  return out;
-}
+using jsonl::sanitize;
 
 }  // namespace
 
-RequestLog::RequestLog(const std::string& path) : path_(path) {
-  const bool fresh = ::access(path.c_str(), F_OK) != 0;
-  file_ = std::fopen(path.c_str(), "ab");
-  if (!file_) {
-    throw CheckpointError("request log: cannot open " + path + ": " +
-                          std::strerror(errno));
-  }
-  fd_ = ::fileno(file_);
-  if (fresh) {
+RequestLog::RequestLog(const std::string& path) : log_(path, "request log") {
+  if (log_.created()) {
     RequestLogRecord header;
     header.type = RequestLogRecord::Type::kHeader;
     append(header);
   }
 }
 
-RequestLog::~RequestLog() {
-  if (file_) std::fclose(file_);
-}
-
 void RequestLog::append(const RequestLogRecord& rec) {
-  const std::string line = encode(rec) + "\n";
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    throw CheckpointError("request log: short write to " + path_);
-  }
-  if (std::fflush(file_) != 0) {
-    throw CheckpointError("request log: flush failed for " + path_);
-  }
-  if (fd_ >= 0 && ::fsync(fd_) != 0) {
-    throw CheckpointError("request log: fsync failed for " + path_ + ": " +
-                          std::strerror(errno));
-  }
+  log_.append(encode(rec));
 }
 
 std::string RequestLog::encode(const RequestLogRecord& rec) {
@@ -169,16 +133,7 @@ bool RequestLog::decode(const std::string& line, RequestLogRecord* out) {
 }
 
 std::vector<RequestLogRecord> RequestLog::load(const std::string& path) {
-  std::vector<RequestLogRecord> records;
-  std::ifstream in(path);
-  if (!in) return records;
-  std::string line;
-  while (std::getline(in, line)) {
-    RequestLogRecord rec;
-    if (!decode(line, &rec)) break;  // torn tail: drop it and stop
-    records.push_back(rec);
-  }
-  return records;
+  return jsonl::load_lines(path, &RequestLog::decode);
 }
 
 std::vector<RecoveredSession> replay_request_log(

@@ -1,10 +1,6 @@
 #include "serve/session_manager.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -22,21 +18,6 @@ namespace puffer {
 namespace {
 
 constexpr const char* kTag = "serve";
-
-// mkdir -p (same idiom as the orchestrator's checkpoint directory).
-void ensure_dir(const std::string& path) {
-  if (path.empty()) return;
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-  if (errno == ENOENT) {
-    const std::size_t slash = path.find_last_of('/');
-    if (slash != std::string::npos && slash > 0) {
-      ensure_dir(path.substr(0, slash));
-      if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-    }
-  }
-  throw CheckpointError("cannot create directory " + path + ": " +
-                        std::strerror(errno));
-}
 
 // Bundle file names become spool paths; anything that could escape the
 // job directory is rejected at admission.

@@ -1,6 +1,6 @@
 // Additional flow-level and engine-option tests: placement persistence
-// through Bookshelf, engine configuration variants, estimator determinism,
-// the warm-started evaluation router and stage accounting.
+// through Bookshelf, engine configuration variants, estimator determinism
+// and stage accounting.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -131,26 +131,6 @@ TEST(FlowComponents, EvaluateRoutabilityUsesCurrentPositions) {
   }
   const RouteResult after = evaluate_routability(d);
   EXPECT_GT(after.overflow.total_pct(), before.overflow.total_pct());
-}
-
-// The warm evaluation router (sharing the estimator's topology cache)
-// must produce exactly the same routing result as a cold router.
-TEST(FlowComponents, WarmRouterMatchesColdRouter) {
-  const Design d = generate_synthetic(small_spec(37));
-  CongestionConfig cfg;
-  cfg.pin_crowding = 1.0;
-  CongestionEstimator est(d, cfg);
-  est.estimate();  // populate the topology cache
-
-  const RouterConfig rcfg;
-  const RouteResult cold = evaluate_routability(d, rcfg);
-  const RouteResult warm = evaluate_routability(d, rcfg, &est);
-  EXPECT_GT(est.tree_cache().hits(), 0u);  // the warm router hit the cache
-  EXPECT_EQ(demand_checksum(cold.maps), demand_checksum(warm.maps));
-  EXPECT_DOUBLE_EQ(cold.wirelength, warm.wirelength);
-  EXPECT_EQ(cold.segments, warm.segments);
-  EXPECT_DOUBLE_EQ(cold.overflow.hof_pct, warm.overflow.hof_pct);
-  EXPECT_DOUBLE_EQ(cold.overflow.vof_pct, warm.overflow.vof_pct);
 }
 
 }  // namespace

@@ -489,5 +489,37 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
   std::filesystem::remove_all(dir);
 }
 
+// The journal's checkpoint record carries the checkpoint path as a JSON
+// string value. A newline in it must not split the record: the tolerant
+// loader stops at the first bad line, so a split record would drop every
+// later trial_complete and a resume would silently re-run every trial.
+TEST_F(OrchestrateTest, ResumeSurvivesNewlineInCheckpointDir) {
+  par::set_num_threads(2);
+  const auto dir = temp_dir("puffer_orch_newline");
+  OrchestratorConfig cfg = small_orch_config();
+  cfg.checkpoint_dir = (dir / "ck\npt").string();
+  cfg.journal_path = (dir / "trials.jsonl").string();
+
+  OrchestrationResult first;
+  {
+    Design d = generate_synthetic(small_spec());
+    TrialOrchestrator orch(d, puffer_param_specs(), small_experiment_config(),
+                           cfg);
+    first = orch.run();
+  }
+  EXPECT_EQ(first.trials_evaluated, cfg.trials);
+
+  OrchestratorConfig rcfg = cfg;
+  rcfg.resume = true;
+  Design d = generate_synthetic(small_spec());
+  TrialOrchestrator orch(d, puffer_param_specs(), small_experiment_config(),
+                         rcfg);
+  const OrchestrationResult again = orch.run();
+  EXPECT_EQ(again.stats.trials_resumed, cfg.trials);
+  EXPECT_EQ(again.best_loss, first.best_loss);
+  EXPECT_EQ(again.best_checksum, first.best_checksum);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace puffer

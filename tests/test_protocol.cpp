@@ -1,6 +1,7 @@
 // Distributed-orchestration wire tests: stream-backed checkpoint frames
 // (round-trip over socketpair/pipe, truncation and corrupted-FNV
-// rejection), message codecs, the prune-thresholds wire codec, the
+// rejection), the non-blocking FrameBuffer decoder against read_frame_fd,
+// message codecs, the prune-thresholds wire codec, the
 // worker's snapshot-key mismatch rejection, and coordinator/worker
 // end-to-end runs (bit-identity with the in-process scheduler, trial
 // reassignment after a worker dies mid-trial).
@@ -9,10 +10,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -166,6 +169,92 @@ TEST_F(ProtocolTest, BadMagicRejected) {
   fds.close_a();
   WireFrame f;
   EXPECT_THROW(read_frame_fd(fds.b, &f), CheckpointError);
+}
+
+// --- FrameBuffer: the non-blocking decoder ---------------------------------
+
+// The frames a decoder popped from a byte stream, and the CheckpointError
+// text of its first rejection (empty when it accepted the whole stream).
+struct Decoded {
+  std::vector<WireFrame> frames;
+  std::string error;
+};
+
+Decoded decode_with_fd(const std::string& bytes) {
+  Decoded out;
+  FdPair fds;
+  EXPECT_EQ(::write(fds.a, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  fds.close_a();
+  try {
+    WireFrame f;
+    while (read_frame_fd(fds.b, &f)) out.frames.push_back(f);
+  } catch (const CheckpointError& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+// Feeds `bytes` to a FrameBuffer `chunk` bytes at a time, popping every
+// complete frame after each append.
+Decoded decode_with_buffer(const std::string& bytes, std::size_t chunk) {
+  Decoded out;
+  FrameBuffer buf;
+  try {
+    for (std::size_t off = 0; off < bytes.size(); off += chunk) {
+      buf.append(bytes.data() + off, std::min(chunk, bytes.size() - off));
+      WireFrame f;
+      while (buf.next(&f)) out.frames.push_back(f);
+    }
+    EXPECT_EQ(buf.buffered(), 0u);
+  } catch (const CheckpointError& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+TEST_F(ProtocolTest, FrameBufferRejectsWhatReadFrameFdRejects) {
+  const std::string good = encode_frame(4, "frame buffer payload");
+  // Header layout: magic [0,4), version [4,8), type [8,12), size [12,20).
+  const auto corrupt = [&](std::size_t at, char mask) {
+    std::string bytes = good;
+    bytes[at] = static_cast<char>(bytes[at] ^ mask);
+    return bytes;
+  };
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"bad magic", corrupt(0, '\xff')},
+      {"bad version", corrupt(4, '\x01')},
+      {"oversized length", corrupt(19, '\x40')},
+      {"flipped body byte", corrupt(20, '\x40')},
+      {"flipped trailer", corrupt(good.size() - 1, '\x01')},
+  };
+  for (const auto& [what, bytes] : cases) {
+    const Decoded fd = decode_with_fd(bytes);
+    EXPECT_FALSE(fd.error.empty()) << what;
+    EXPECT_TRUE(fd.frames.empty()) << what;
+    for (const std::size_t chunk : {bytes.size(), std::size_t{1}}) {
+      const Decoded fb = decode_with_buffer(bytes, chunk);
+      EXPECT_EQ(fb.error, fd.error) << what << ", chunk " << chunk;
+      EXPECT_TRUE(fb.frames.empty()) << what << ", chunk " << chunk;
+    }
+  }
+}
+
+TEST_F(ProtocolTest, FrameBufferByteAtATimeMatchesReadFrameFd) {
+  const std::string bytes =
+      encode_frame(1, "first frame") + encode_frame(2, std::string());
+  const Decoded fd = decode_with_fd(bytes);
+  const Decoded fb = decode_with_buffer(bytes, 1);
+  EXPECT_TRUE(fd.error.empty()) << fd.error;
+  EXPECT_TRUE(fb.error.empty()) << fb.error;
+  ASSERT_EQ(fd.frames.size(), 2u);
+  ASSERT_EQ(fb.frames.size(), fd.frames.size());
+  for (std::size_t i = 0; i < fd.frames.size(); ++i) {
+    EXPECT_EQ(fb.frames[i].type, fd.frames[i].type) << i;
+    EXPECT_EQ(fb.frames[i].body, fd.frames[i].body) << i;
+  }
+  EXPECT_EQ(fb.frames[0].body, "first frame");
+  EXPECT_TRUE(fb.frames[1].body.empty());
 }
 
 // --- message codecs -------------------------------------------------------
